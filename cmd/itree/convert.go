@@ -22,6 +22,12 @@ import (
 //	itree convert -kind snapshot -to json  snapshot.bin  > snapshot.json
 //	itree convert -kind journal  -to binary journal.log -o journal.bin
 //
+// It is also the migrator for data written by releases that kept JSON
+// on disk, which the daemon refuses to recover: `-to binary` turns a
+// snapshot.json into a snapshot.bin, and a JSON-lines journal — or one
+// that switched from JSON lines to binary records mid-file — into a
+// binary journal.
+//
 // Journals convert record by record; a torn tail or mid-log corruption
 // aborts with an error rather than silently emitting a shortened log —
 // repair (or recover) the journal first.
@@ -86,9 +92,14 @@ func runConvert(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 func convertSnapshot(data []byte, mode journal.Mode) ([]byte, error) {
-	snap, err := server.DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
+	snap := new(server.Snapshot)
+	if server.IsBinarySnapshot(data) {
+		var err error
+		if snap, err = server.DecodeSnapshot(data); err != nil {
+			return nil, err
+		}
+	} else if err := json.Unmarshal(data, snap); err != nil {
+		return nil, fmt.Errorf("decode JSON snapshot: %w", err)
 	}
 	if mode == journal.ModeBinary {
 		return server.EncodeSnapshotBinary(snap)
@@ -101,24 +112,74 @@ func convertSnapshot(data []byte, mode journal.Mode) ([]byte, error) {
 }
 
 func convertJournal(data []byte, mode journal.Mode) ([]byte, error) {
-	dec := journal.NewDecoder(bytes.NewReader(data))
+	events, err := readJournal(data)
+	if err != nil {
+		return nil, err
+	}
 	var out bytes.Buffer
 	enc := journal.NewEncoderMode(&out, mode)
-	n := 0
-	for {
-		e, err := dec.Next()
-		if err == io.EOF {
-			return out.Bytes(), nil
-		}
-		if errors.Is(err, journal.ErrTornTail) {
-			return nil, fmt.Errorf("journal has a torn tail after %d records (%v); recover it before converting", n, err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("journal record %d: %w", n+1, err)
-		}
+	for _, e := range events {
 		if err := enc.Encode(e); err != nil {
 			return nil, err
 		}
-		n++
 	}
+	return out.Bytes(), nil
+}
+
+// readJournal decodes a journal in any format a release has written:
+// binary records, JSON lines, or a log that switched from JSON lines to
+// binary records part way. Sequence numbers must be contiguous
+// throughout. Unlike recovery it is strict: a torn tail is an error,
+// not a repair.
+func readJournal(data []byte) ([]journal.Event, error) {
+	var events []journal.Event
+	next := func() uint64 {
+		if len(events) == 0 {
+			return 0
+		}
+		return events[len(events)-1].Seq + 1
+	}
+	for off := 0; off < len(data); {
+		if data[off] != '{' {
+			// A run of binary records (and blank lines), up to the next
+			// JSON line if the log switches format again.
+			d := journal.NewDecoder(bytes.NewReader(data[off:]))
+			d.ExpectSeq(next())
+			for {
+				e, err := d.Next()
+				if err == io.EOF {
+					return events, nil
+				}
+				if errors.Is(err, journal.ErrJSONJournal) {
+					break
+				}
+				if errors.Is(err, journal.ErrTornTail) {
+					return nil, fmt.Errorf("journal has a torn tail after %d records (%v); recover it before converting", len(events), err)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("journal record %d: %w", len(events)+1, err)
+				}
+				events = append(events, e)
+			}
+			off += int(d.Offset())
+			continue
+		}
+		line := data[off:]
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line = line[:nl+1]
+		}
+		off += len(line)
+		var e journal.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			return nil, fmt.Errorf("journal record %d: malformed JSON line (a torn tail? recover it before converting): %w", len(events)+1, err)
+		}
+		if err := e.Validate(); err != nil {
+			return nil, fmt.Errorf("journal record %d: %w", len(events)+1, err)
+		}
+		if want := next(); want != 0 && e.Seq != want {
+			return nil, fmt.Errorf("journal record %d: sequence gap: %d after %d", len(events)+1, e.Seq, want-1)
+		}
+		events = append(events, e)
+	}
+	return events, nil
 }

@@ -10,8 +10,9 @@
 //	itree convert -kind snapshot|journal -to json|binary [-o out] [in]
 //
 // The convert subcommand translates checkpoint snapshots and journals
-// between the binary on-disk format and the JSON debug/export format
-// (see cmd/itree/convert.go).
+// between the binary on-disk format and the JSON debug/export format,
+// and migrates data written by releases that kept JSON on disk (see
+// cmd/itree/convert.go).
 package main
 
 import (

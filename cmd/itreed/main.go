@@ -11,7 +11,6 @@
 //	       [-checkpoint-interval 30s] [-checkpoint-bytes 1048576]
 //	       [-journal-sync os|interval|always] [-journal-sync-interval 1s]
 //	       [-batch-max 64] [-batch-wait 0] [-queue-depth 1024]
-//	       [-journal events.log]
 //	       [-audit-interval 10s] [-audit-quarantine]
 //	       [-epoch-interval 1m] [-epoch-budget 0.4]
 //	       [-role primary|follower] [-primary http://host:8080]
@@ -20,12 +19,12 @@
 // The daemon hosts many campaigns (POST /v1/campaigns to create one;
 // /v1/campaigns/{id}/... for its API); the pre-multi-tenant /v1/*
 // endpoints keep working as aliases for the "default" campaign. With
-// -data-dir set, every campaign gets its own journal under
+// -data-dir set, every campaign gets its own binary journal under
 // <data-dir>/campaigns/<id>/ and a background checkpointer bounds
 // recovery cost by periodically snapshotting state and compacting the
-// journal. The legacy -journal flag instead attaches a single flat
-// journal file to the default campaign (no checkpointing), exactly as
-// earlier releases did; the two flags are mutually exclusive.
+// journal; without it, campaigns live in memory only. Data written by
+// releases that kept JSON on disk (or used the flat -journal file) is
+// refused at startup until `itree convert` migrates it (see README).
 //
 // With -audit-interval set, every campaign runs the online Sybil audit
 // service (see internal/audit): committed batches mark subtrees dirty,
@@ -53,9 +52,8 @@
 // endpoint, tails its journal stream, and serves reads that carry an
 // X-Itree-Staleness header and are rejected with 503 once staleness
 // exceeds -max-staleness. Writes answer 307 with a Location on the
-// primary. Followers keep no disk state (-data-dir and -journal are
-// rejected); on restart they re-bootstrap. See internal/replica for
-// the protocol.
+// primary. Followers keep no disk state (-data-dir is rejected); on
+// restart they re-bootstrap. See internal/replica for the protocol.
 //
 // Beyond the API, the daemon serves GET /metrics (Prometheus text
 // exposition: per-route latency histograms, journal counters,
@@ -68,13 +66,12 @@
 // in-flight requests (up to 10s), checkpoints every campaign, and only
 // then closes the journals, so a shutdown can never tear a write-ahead
 // log mid-append. A torn journal tail left by a hard crash is tolerated
-// at startup: complete events are recovered, the torn line is truncated
-// away, and the repair is counted on the itree_journal_torn_tails_total
-// metric.
+// at startup: complete events are recovered, the torn record is
+// truncated away, and the repair is counted on the
+// itree_journal_torn_tails_total metric.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"expvar"
@@ -190,7 +187,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 	phi := fs.Float64("phi", 0.5, "budget fraction Phi")
 	fair := fs.Float64("fair", 0.05, "fairness floor phi")
 	seed := fs.String("seed", "", "comma-separated names of organic seed participants (default campaign)")
-	wal := fs.String("journal", "", "legacy flat journal file for the default campaign; replayed on start, never compacted")
 	dataDir := fs.String("data-dir", "",
 		"data directory for multi-campaign persistence (journals, snapshots); enables checkpointing")
 	shards := fs.Int("shards", store.DefaultShards, "lock stripes for campaign lookup (rounded up to a power of two)")
@@ -198,8 +194,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		"periodic checkpoint cadence; <0 disables periodic checkpoints")
 	cpBytes := fs.Int64("checkpoint-bytes", store.DefaultCheckpointBytes,
 		"checkpoint a campaign once its journal exceeds this many bytes; <0 disables the size trigger")
-	format := fs.String("format", "binary",
-		"on-disk wire format for journals and snapshots: binary (CRC-checked records) or json (debug/export); recovery reads both regardless")
 	syncPolicy := fs.String("journal-sync", string(journal.SyncOS),
 		"journal durability: os (page cache), interval (fsync periodically), always (fsync per event)")
 	syncEvery := fs.Duration("journal-sync-interval", time.Second,
@@ -227,9 +221,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *wal != "" && *dataDir != "" {
-		return nil, errors.New("-journal and -data-dir are mutually exclusive")
-	}
 	switch *role {
 	case "primary":
 		if *primaryURL != "" {
@@ -239,8 +230,8 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		if *primaryURL == "" {
 			return nil, errors.New("-role=follower requires -primary")
 		}
-		if *wal != "" || *dataDir != "" {
-			return nil, errors.New("a follower keeps no disk state: -journal and -data-dir are not allowed with -role=follower")
+		if *dataDir != "" {
+			return nil, errors.New("a follower keeps no disk state: -data-dir is not allowed with -role=follower")
 		}
 		if *seed != "" {
 			return nil, errors.New("a follower is read-only: -seed is not allowed with -role=follower")
@@ -279,13 +270,8 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		return nil, err
 	}
 
-	if _, err := journal.ParseMode(*format); err != nil {
-		return nil, err
-	}
-
 	cfg := store.Config{
 		DataDir:            *dataDir,
-		Format:             *format,
 		Shards:             *shards,
 		CheckpointInterval: *cpInterval,
 		CheckpointBytes:    *cpBytes,
@@ -308,29 +294,14 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		return setupFollower(cfg, *primaryURL, *maxStaleness, *addr, *debugAddr, reg, stdout)
 	}
 
-	cleanup := func() {}
-	if *wal != "" {
-		// Legacy single-campaign persistence: one flat journal file,
-		// replayed at startup, never checkpointed or compacted.
-		legacy, legacyCleanup, err := legacyServer(*wal, policy, *syncEvery, cfg, stdout)
-		if err != nil {
-			return nil, err
-		}
-		cfg.DefaultServer = legacy
-		cleanup = legacyCleanup
-	}
-
 	st, err := store.Open(cfg)
 	if err != nil {
-		cleanup()
 		return nil, err
 	}
-	storeCleanup := cleanup
-	cleanup = func() {
+	cleanup := func() {
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(stdout, "itreed: store close: %v\n", err)
 		}
-		storeCleanup()
 	}
 
 	def, _ := st.Get(store.DefaultID)
@@ -364,79 +335,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		debugAddr: *debugAddr,
 		cleanup:   cleanup,
 	}, nil
-}
-
-// legacyServer builds the default campaign the way earlier releases
-// did: state recovered from (and appended to) a single flat journal
-// file, honoring the configured sync policy.
-func legacyServer(wal string, policy journal.SyncPolicy, syncEvery time.Duration, cfg store.Config, stdout io.Writer) (*server.Server, func(), error) {
-	recovered, err := recoverJournal(wal, stdout)
-	if err != nil {
-		return nil, nil, err
-	}
-	fw, err := journal.OpenFile(wal, policy, syncEvery)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal %s: %w", wal, err)
-	}
-	next := uint64(1)
-	if n := len(recovered); n > 0 {
-		next = recovered[n-1].Seq + 1
-	}
-	m, err := cfg.NewMechanism(cfg.DefaultMechanism, cfg.DefaultParams)
-	if err != nil {
-		fw.Close()
-		return nil, nil, err
-	}
-	opts := []server.Option{
-		server.WithJournal(journal.NewWriter(fw, next)),
-		server.WithMetrics(cfg.Metrics),
-	}
-	if cfg.EpochBudget != 0 {
-		opts = append(opts, server.WithEpochBudget(cfg.EpochBudget))
-	}
-	if cfg.BatchMax >= 0 {
-		opts = append(opts, server.WithBatching(ingest.Options{
-			BatchMax:   cfg.BatchMax,
-			BatchWait:  cfg.BatchWait,
-			QueueDepth: cfg.QueueDepth,
-		}))
-	}
-	s := server.New(m, opts...)
-	if len(recovered) > 0 {
-		if err := server.Recover(s, nil, recovered); err != nil {
-			s.CloseIngest()
-			fw.Close()
-			return nil, nil, fmt.Errorf("recover: %w", err)
-		}
-		fmt.Fprintf(stdout, "itreed: recovered %d journal events\n", len(recovered))
-	}
-	return s, func() { s.CloseIngest(); fw.Close() }, nil
-}
-
-// recoverJournal reads the event log at path, repairing a torn tail
-// (truncating the partial final line) so the daemon can append again.
-// A missing file is an empty journal.
-func recoverJournal(path string, stdout io.Writer) ([]journal.Event, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	events, err := journal.Read(bytes.NewReader(data))
-	var torn *journal.TornTailError
-	switch {
-	case err == nil:
-	case errors.As(err, &torn):
-		fmt.Fprintf(stdout, "itreed: %v — truncating journal to %d complete events\n", err, len(events))
-		if err := os.Truncate(path, torn.Offset); err != nil {
-			return nil, fmt.Errorf("journal %s: truncate torn tail: %w", path, err)
-		}
-	default:
-		return nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	return events, nil
 }
 
 // run serves the daemon until ctx is cancelled (SIGINT/SIGTERM in

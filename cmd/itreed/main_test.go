@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"incentivetree/internal/journal"
+	"incentivetree/internal/store"
 )
 
 func TestSetupWithSeeds(t *testing.T) {
@@ -51,15 +54,57 @@ func TestSetupErrors(t *testing.T) {
 	if _, err := setup([]string{"-epoch-budget", "-0.1"}, &out); err == nil {
 		t.Fatal("negative epoch budget should fail")
 	}
+	if _, err := setup([]string{"-journal-sync", "sometimes"}, &out); err == nil {
+		t.Fatal("bad sync policy should fail")
+	}
+	// The flat-file journal and the on-disk format switch are gone.
+	for _, flag := range []string{"-journal", "-format"} {
+		if _, err := setup([]string{flag, "x"}, &out); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+	}
+}
+
+// defaultJournal returns the default campaign's journal path under a
+// data directory.
+func defaultJournal(dataDir string) string {
+	return filepath.Join(dataDir, "campaigns", store.DefaultID, "journal.log")
+}
+
+// records encodes events as binary journal records.
+func records(t *testing.T, events ...journal.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := journal.NewEncoder(&buf)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// appendFile appends data to the file at path, the way a daemon that
+// crashed before its next checkpoint leaves journal records behind.
+func appendFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSetupJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "events.log")
+	args := []string{"-data-dir", dir, "-checkpoint-interval", "-1s", "-checkpoint-bytes", "-1"}
 
-	// First run: write some state through the journal.
+	// First run: write some state, then stop (which checkpoints).
 	var out bytes.Buffer
-	d, err := setup([]string{"-journal", wal}, &out)
+	d, err := setup(args, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,84 +118,87 @@ func TestSetupJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.cleanup()
+	// A crash after two more writes leaves them only in the journal.
+	appendFile(t, defaultJournal(dir), records(t,
+		journal.Event{Seq: 4, Kind: journal.KindJoin, Name: "cy", Sponsor: "bo"},
+		journal.Event{Seq: 5, Kind: journal.KindContribute, Name: "cy", Amount: 1}))
 
-	// Second run: state must come back from the log.
-	out.Reset()
-	d2, err := setup([]string{"-journal", wal}, &out)
+	// Second run: state comes back from snapshot plus journal suffix.
+	d2, err := setup(args, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.cleanup()
-	if !strings.Contains(out.String(), "recovered 3 journal events") {
-		t.Fatalf("banner = %q", out.String())
-	}
-	snap := d2.server.SnapshotState()
-	if snap.Tree.Total() != 4 {
-		t.Fatalf("recovered total = %v", snap.Tree.Total())
+	if snap := d2.server.SnapshotState(); snap.Tree.Total() != 5 || snap.LastSeq != 5 {
+		t.Fatalf("recovered total = %v at seq %d, want 5 at 5", snap.Tree.Total(), snap.LastSeq)
 	}
 	// New writes continue the sequence.
 	if err := d2.server.Contribute("ada", 1); err != nil {
 		t.Fatal(err)
 	}
 	d2.cleanup()
-	data, err := os.ReadFile(wal)
+	d3, err := setup(args, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(string(data), "\n"); got != 4 {
-		t.Fatalf("journal lines = %d, want 4", got)
+	defer d3.cleanup()
+	if snap := d3.server.SnapshotState(); snap.Tree.Total() != 6 || snap.LastSeq != 6 {
+		t.Fatalf("after restart: total = %v at seq %d, want 6 at 6", snap.Tree.Total(), snap.LastSeq)
 	}
 }
 
 func TestSetupRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "bad.log")
-	corrupt := "garbage\n" + `{"seq":1,"kind":"join","name":"ada"}` + "\n"
-	if err := os.WriteFile(wal, []byte(corrupt), 0o600); err != nil {
+	var out bytes.Buffer
+	d, err := setup([]string{"-data-dir", dir}, &out)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if _, err := setup([]string{"-journal", wal}, &out); err == nil {
+	d.cleanup()
+	appendFile(t, defaultJournal(dir), []byte("garbage\n"))
+	appendFile(t, defaultJournal(dir), records(t, journal.Event{Seq: 1, Kind: journal.KindJoin, Name: "ada"}))
+	if _, err := setup([]string{"-data-dir", dir}, &out); err == nil {
 		t.Fatal("mid-log corruption should fail startup")
 	}
 }
 
 func TestSetupRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "torn.log")
-	good := `{"seq":1,"kind":"join","name":"ada"}` + "\n" +
-		`{"seq":2,"kind":"contribute","name":"ada","amount":2}` + "\n"
-	torn := good + `{"seq":3,"kind":"contrib` // crash mid-append
-	if err := os.WriteFile(wal, []byte(torn), 0o600); err != nil {
-		t.Fatal(err)
-	}
-
 	var out bytes.Buffer
-	d, err := setup([]string{"-journal", wal}, &out)
+	d, err := setup([]string{"-data-dir", dir}, &out)
 	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if !strings.Contains(out.String(), "torn tail") || !strings.Contains(out.String(), "recovered 2 journal events") {
-		t.Fatalf("banner = %q", out.String())
-	}
-	// The partial line is gone from disk, and appends continue the
-	// sequence on a clean line.
-	if err := d.server.Contribute("ada", 3); err != nil {
 		t.Fatal(err)
 	}
 	d.cleanup()
-	data, err := os.ReadFile(wal)
+	good := records(t,
+		journal.Event{Seq: 1, Kind: journal.KindJoin, Name: "ada"},
+		journal.Event{Seq: 2, Kind: journal.KindContribute, Name: "ada", Amount: 2})
+	torn := records(t, journal.Event{Seq: 3, Kind: journal.KindContribute, Name: "ada", Amount: 9})
+	appendFile(t, defaultJournal(dir), good)
+	appendFile(t, defaultJournal(dir), torn[:len(torn)/2]) // crash mid-append
+
+	d, err = setup([]string{"-data-dir", dir}, &out)
+	if err != nil {
+		t.Fatalf("torn tail should be tolerated: %v", err)
+	}
+	// The partial record is gone from disk, and appends continue the
+	// sequence right after the complete ones.
+	data, err := os.ReadFile(defaultJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := good + `{"seq":3,"kind":"contribute","name":"ada","amount":3}` + "\n"
-	if string(data) != want {
-		t.Fatalf("repaired log =\n%q\nwant\n%q", data, want)
+	if !bytes.Equal(data, good) {
+		t.Fatalf("repaired journal is %d bytes, want the %d complete ones", len(data), len(good))
 	}
+	if err := d.server.Contribute("ada", 3); err != nil {
+		t.Fatal(err)
+	}
+	if seq := d.server.LastSeq(); seq != 3 {
+		t.Fatalf("next append got seq %d, want 3", seq)
+	}
+	d.cleanup()
 
 	// Restart once more: fully clean recovery.
-	out.Reset()
-	d2, err := setup([]string{"-journal", wal}, &out)
+	d2, err := setup([]string{"-data-dir", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +211,7 @@ func TestSetupRepairsTornTail(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	d, err := setup([]string{"-mechanism", "geometric", "-journal", filepath.Join(dir, "w.log")}, &out)
+	d, err := setup([]string{"-mechanism", "geometric", "-data-dir", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +261,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"itree_journal_append_bytes_total",
 		"itree_journal_torn_tails_total",
 		"# TYPE itree_incremental_ops_total counter",
-		"itree_participants 1",
+		`itree_participants{campaign="default"} 1`,
 		"itree_budget_utilization",
-		"itree_contribution_total 2",
+		`itree_contribution_total{campaign="default"} 2`,
 		"# TYPE itree_mechanism_rewards_seconds histogram",
 		`mechanism_rewards_seconds_count{mechanism="Geometric(`,
 	} {
@@ -227,9 +275,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestRunServesAndDrainsOnSignal(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "events.log")
 	var out bytes.Buffer
-	d, err := setup([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-journal", wal}, &out)
+	d, err := setup([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-data-dir", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +333,7 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline status = %d", resp.StatusCode)
 	}
 
-	// Graceful shutdown: run returns cleanly, the WAL survives intact.
+	// Graceful shutdown: run returns cleanly, the join survives it.
 	cancel()
 	select {
 	case err := <-done:
@@ -300,12 +347,13 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 		t.Fatalf("run output = %q", runOut.String())
 	}
 	d.cleanup()
-	data, err := os.ReadFile(wal)
+	d2, err := setup([]string{"-data-dir", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"name":"ada"`) {
-		t.Fatalf("journal lost the join: %q", data)
+	defer d2.cleanup()
+	if err := d2.server.Contribute("ada", 1); err != nil {
+		t.Fatalf("store lost the join: %v", err)
 	}
 }
 
@@ -321,18 +369,6 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d", path, resp.StatusCode)
 		}
-	}
-}
-
-func TestSetupRejectsJournalWithDataDir(t *testing.T) {
-	var out bytes.Buffer
-	dir := t.TempDir()
-	_, err := setup([]string{"-journal", filepath.Join(dir, "w.log"), "-data-dir", dir}, &out)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := setup([]string{"-journal-sync", "sometimes"}, &out); err == nil {
-		t.Fatal("bad sync policy should fail")
 	}
 }
 
@@ -419,7 +455,6 @@ func TestSetupFollowerFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-role", "follower"}, // no -primary
 		{"-role", "follower", "-primary", "http://x", "-data-dir", "d"},        // no disk state
-		{"-role", "follower", "-primary", "http://x", "-journal", "w.log"},     // no disk state
 		{"-role", "follower", "-primary", "http://x", "-seed", "a"},            // read-only
 		{"-role", "follower", "-primary", "http://x", "-epoch-interval", "1s"}, // followers do not settle
 		{"-role", "chief"},       // unknown role

@@ -152,8 +152,6 @@ func run(args []string, stdout io.Writer) error {
 		"run the in-process scaling sweep (commit latency, resident bytes, recovery time per population size) instead of HTTP load; see -sweep-sizes")
 	sweepSizes := fs.String("sweep-sizes", "1000,10000,100000,1000000",
 		"comma-separated participant counts for -tree-size-sweep")
-	sweepFormat := fs.String("sweep-format", "binary",
-		"journal/snapshot format the sweep exercises: binary or json")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -162,7 +160,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return runSweep(sizes, *sweepFormat, *seed, stdout)
+		return runSweep(sizes, *seed, stdout)
 	}
 	switch *scenario {
 	case "steady", "honest", "adversarial", "settlement":

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -34,28 +33,24 @@ import (
 // warm-up of the smaller ones. The numbers land on stdout next to the
 // BENCH_<n>.json trail; the matching go-bench points are
 // BenchmarkRecovery and BenchmarkSnapshotCodec in the root suite.
-func runSweep(sizes []int, format string, seed int64, stdout io.Writer) error {
-	mode, err := journal.ParseMode(format)
-	if err != nil {
-		return err
-	}
+func runSweep(sizes []int, seed int64, stdout io.Writer) error {
 	mech, err := experiments.ByName(core.DefaultParams(), "tdrm")
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "itreeload: tree size sweep (%s journals), sizes %v\n", mode, sizes)
+	fmt.Fprintf(stdout, "itreeload: tree size sweep, sizes %v\n", sizes)
 	fmt.Fprintf(stdout, "%12s %12s %12s %12s %14s %12s %12s %14s %14s\n",
 		"participants", "commit p50", "commit p99", "heap bytes",
 		"journal bytes", "snap bytes", "snap encode", "recover(jnl)", "recover(snap)")
 	for _, n := range sizes {
-		if err := sweepOne(n, mode, mech, seed, stdout); err != nil {
+		if err := sweepOne(n, mech, seed, stdout); err != nil {
 			return fmt.Errorf("sweep %d: %w", n, err)
 		}
 	}
 	return nil
 }
 
-func sweepOne(n int, mode journal.Mode, mech core.Mechanism, seed int64, stdout io.Writer) error {
+func sweepOne(n int, mech core.Mechanism, seed int64, stdout io.Writer) error {
 	dir, err := os.MkdirTemp("", "itree-sweep-")
 	if err != nil {
 		return err
@@ -72,7 +67,7 @@ func sweepOne(n int, mode journal.Mode, mech core.Mechanism, seed int64, stdout 
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
 
-	srv := server.New(mech, server.WithJournal(journal.NewWriterMode(fw, 1, mode)))
+	srv := server.New(mech, server.WithJournal(journal.NewWriter(fw, 1)))
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, 0, n)
 	// Sample commit latency in batches: single commits are faster than
@@ -118,12 +113,7 @@ func sweepOne(n int, mode journal.Mode, mech core.Mechanism, seed int64, stdout 
 
 	snap := srv.SnapshotAt(nil)
 	encStart := time.Now()
-	var snapData []byte
-	if mode == journal.ModeBinary {
-		snapData, err = server.EncodeSnapshotBinary(&snap)
-	} else {
-		snapData, err = snapshotJSON(&snap)
-	}
+	snapData, err := server.EncodeSnapshotBinary(&snap)
 	if err != nil {
 		return err
 	}
@@ -165,15 +155,6 @@ func sweepOne(n int, mode journal.Mode, mech core.Mechanism, seed int64, stdout 
 		journalBytes, len(snapData), encTime.Round(time.Microsecond),
 		jnlTime.Round(time.Microsecond), snapTime.Round(time.Microsecond))
 	return nil
-}
-
-// snapshotJSON mirrors the store's JSON checkpoint encoding.
-func snapshotJSON(snap *server.Snapshot) ([]byte, error) {
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // sweepPercentile is percentile without the HTTP-scale 10µs display

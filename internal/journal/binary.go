@@ -8,16 +8,13 @@ import (
 	"math"
 )
 
-// Binary journal record format. A journal is a byte stream of records;
-// each record is self-describing via its first byte, so JSON lines and
-// binary records can coexist in one file (which is exactly what happens
-// when a binary-mode Writer appends to a journal recovered from an older
-// JSON deployment). There is deliberately no stream-level header: the
-// checkpointer's CompactTo keeps an arbitrary record-boundary suffix of
-// the file, replication re-streams records from arbitrary offsets, and a
-// follower's rolling hash must equal the hash of the primary's file
-// bytes — all three would break if the format were negotiated anywhere
-// but in the records themselves.
+// Binary journal record format. A journal is a byte stream of records,
+// each framed on its own. There is deliberately no stream-level header:
+// the checkpointer's CompactTo keeps an arbitrary record-boundary
+// suffix of the file, replication re-streams records from arbitrary
+// offsets, and a follower's rolling hash must equal the hash of the
+// primary's file bytes — all three would break if anything but the
+// records themselves framed the stream.
 //
 // Record framing (all integers little-endian, varints canonical):
 //
@@ -48,28 +45,31 @@ import (
 //	        per share:        uvarint + bytes name, 8-byte LE float64
 //	                          amount (strictly ascending by name)
 //
-// A first byte of '{' (or whitespace) means a JSON-lines record —
-// the format every journal used before the binary codec; '\n' alone is
-// the stream heartbeat in both modes. Any other first byte is
-// corruption.
+// A '\n' between records is the replication stream's heartbeat. A
+// first byte of '{' marks a JSON-lines record from a journal written
+// before binary records became the only on-disk format: decoders refuse
+// it (ErrJSONJournal) and `itree convert` migrates the log. Any other
+// first byte is corruption.
 //
 // The encoding is canonical: one event has exactly one binary
 // representation, so re-encoding a decoded record reproduces its bytes
 // — the property replication's rolling SHA-256 and
 // FuzzJournalRecordDecode both depend on.
 
-// Mode selects the wire format of journal records.
+// Mode selects the format an Encoder writes: the binary journal
+// record, or the JSON-lines export form of `itree convert`.
 type Mode int
 
 const (
-	// ModeJSON writes one JSON object per line — the legacy format,
-	// kept as the debug/export representation (see `itree convert`).
+	// ModeJSON writes one JSON object per line: the export and debug
+	// representation, and the format of journals from older releases.
 	ModeJSON Mode = iota
-	// ModeBinary writes length-prefixed CRC-checked binary records.
+	// ModeBinary writes length-prefixed CRC-checked binary records, the
+	// only format a journal holds.
 	ModeBinary
 )
 
-// String names the mode as used by flags and `itree convert`.
+// String names the mode as used by `itree convert`.
 func (m Mode) String() string {
 	switch m {
 	case ModeJSON:
@@ -94,9 +94,9 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // tagBinaryV1 is the first byte of a version-1 binary record. It is not
-// valid leading whitespace and not a valid first byte of a JSON value,
-// so the three record classes (binary, JSON, heartbeat) are disjoint on
-// their first byte.
+// whitespace and not a valid first byte of a JSON value, so a binary
+// record, a heartbeat and an old JSON line are told apart by their
+// first byte.
 const tagBinaryV1 = 0xB1
 
 // maxBinaryPayload bounds the declared payload length, so a corrupt

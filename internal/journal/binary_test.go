@@ -45,9 +45,6 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode record %d: %v", n+1, err)
 		}
-		if d.Mode() != ModeBinary {
-			t.Fatalf("record %d: Mode() = %v, want binary", n+1, d.Mode())
-		}
 		if !e.Equal(binaryTestEvents[n]) {
 			t.Fatalf("record %d = %+v, want %+v", n+1, e, binaryTestEvents[n])
 		}
@@ -67,72 +64,44 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFormatLog: JSON lines, heartbeats, and binary records in one
-// stream — the in-place migration shape — decode in order, and
-// Decoder.Mode tracks each record's own format.
-func TestMixedFormatLog(t *testing.T) {
-	var log bytes.Buffer
-	jw := NewWriter(&log, 1) // JSON
-	if _, err := jw.Append(Event{Kind: KindJoin, Name: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	log.WriteString("\n") // heartbeat between formats
-	bw := NewWriterMode(&log, 2, ModeBinary)
-	if _, err := bw.Append(Event{Kind: KindContribute, Name: "alice", Amount: 1}); err != nil {
-		t.Fatal(err)
-	}
-	jw2 := NewWriterMode(&log, 3, ModeJSON)
-	if _, err := jw2.Append(Event{Kind: KindQuarantine, Name: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-
-	d := NewDecoder(bytes.NewReader(log.Bytes()))
-	wantModes := []Mode{ModeJSON, ModeBinary, ModeJSON}
-	for i, want := range wantModes {
-		e, err := d.Next()
+// TestWriterEncoderByteEquality: a Writer and an Encoder must produce
+// identical bytes for the same events — the contract that lets a
+// follower hash re-encoded events and match the primary's file.
+func TestWriterEncoderByteEquality(t *testing.T) {
+	var viaWriter, viaEncoder bytes.Buffer
+	w := NewWriter(&viaWriter, 1)
+	enc := NewEncoder(&viaEncoder)
+	for _, e := range binaryTestEvents {
+		e.Seq = 0
+		persisted, err := w.Append(e)
 		if err != nil {
-			t.Fatalf("record %d: %v", i+1, err)
+			t.Fatal(err)
 		}
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("record %d: seq = %d", i+1, e.Seq)
-		}
-		if d.Mode() != want {
-			t.Fatalf("record %d: mode = %v, want %v", i+1, d.Mode(), want)
+		if err := enc.Encode(persisted); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("trailing Next = %v, want EOF", err)
+	if !bytes.Equal(viaWriter.Bytes(), viaEncoder.Bytes()) {
+		t.Fatal("Writer and Encoder bytes differ")
 	}
 }
 
-// TestWriterEncoderByteEquality: a Writer and an Encoder in the same
-// mode must produce identical bytes for the same events, in both modes
-// — the contract that lets a follower hash re-encoded events and match
-// the primary's file.
-func TestWriterEncoderByteEquality(t *testing.T) {
-	for _, mode := range []Mode{ModeJSON, ModeBinary} {
-		var viaWriter, viaEncoder bytes.Buffer
-		w := NewWriterMode(&viaWriter, 1, mode)
-		enc := NewEncoderMode(&viaEncoder, mode)
-		for _, e := range binaryTestEvents {
-			e.Seq = 0
-			persisted, err := w.Append(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Encode(persisted); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(viaWriter.Bytes(), viaEncoder.Bytes()) {
-			t.Fatalf("%v: Writer and Encoder bytes differ", mode)
-		}
+// TestNewWriterModeBinaryOnly: a journal Writer appends binary records
+// only; asking it for JSON lines is a programming error.
+func TestNewWriterModeBinaryOnly(t *testing.T) {
+	if w := NewWriterMode(io.Discard, 1, ModeBinary); w == nil {
+		t.Fatal("NewWriterMode(ModeBinary) = nil")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWriterMode(ModeJSON) did not panic")
+		}
+	}()
+	NewWriterMode(io.Discard, 1, ModeJSON)
 }
 
 // TestBinaryTornTail: truncating a binary log mid-record yields a
-// TornTailError whose Offset is the complete-record prefix, exactly as
-// for a torn JSON line — the repair path is shared.
+// TornTailError whose Offset is the complete-record prefix.
 func TestBinaryTornTail(t *testing.T) {
 	var log bytes.Buffer
 	w := NewWriterMode(&log, 1, ModeBinary)

@@ -49,6 +49,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return "", fmt.Errorf("journal: unknown sync policy %q (choose os, interval, always)", s)
 }
 
+// appendFile is the part of *os.File a FileWriter appends through;
+// tests substitute a fake to inject write and sync failures.
+type appendFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // FileWriter is an append-only journal file with a configurable sync
 // policy and support for checkpoint compaction. It is safe for
 // concurrent use and implements io.Writer, so it can back a
@@ -59,9 +68,13 @@ type FileWriter struct {
 	every  time.Duration
 
 	mu       sync.Mutex
-	f        *os.File
+	f        appendFile
 	size     int64 // current file size in bytes
 	lastSync time.Time
+	// broken is set when a failed write could not be rolled back; the
+	// file's tail is then unknown, so every later Write and CompactTo
+	// refuses until the file is reopened (and recovered).
+	broken error
 }
 
 // OpenFile opens (creating if needed) the journal file at path for
@@ -87,26 +100,58 @@ func OpenFile(path string, policy SyncPolicy, every time.Duration) (*FileWriter,
 }
 
 // Write appends p and applies the sync policy. It implements io.Writer.
+//
+// Write is all-or-nothing: if the write or its sync fails, the file is
+// truncated back to its size before the call and fsynced, so a failed
+// append leaves no bytes behind for later appends to land after. If
+// that rollback fails too, the writer refuses every later Write until
+// the file is reopened.
 func (fw *FileWriter) Write(p []byte) (int, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.f == nil {
-		return 0, errors.New("journal: file writer closed")
+	if err := fw.usableLocked(); err != nil {
+		return 0, err
 	}
 	n, err := fw.f.Write(p)
-	fw.size += int64(n)
-	if err != nil {
-		return n, err
-	}
-	switch fw.policy {
-	case SyncAlways:
-		err = fw.syncLocked()
-	case SyncInterval:
-		if time.Since(fw.lastSync) >= fw.every {
+	if err == nil {
+		switch fw.policy {
+		case SyncAlways:
 			err = fw.syncLocked()
+		case SyncInterval:
+			if time.Since(fw.lastSync) >= fw.every {
+				err = fw.syncLocked()
+			}
 		}
 	}
-	return n, err
+	if err != nil {
+		return 0, fw.rollbackLocked(err)
+	}
+	fw.size += int64(n)
+	return n, nil
+}
+
+// usableLocked reports why the writer cannot append or compact, if it
+// cannot.
+func (fw *FileWriter) usableLocked() error {
+	if fw.f == nil {
+		return errors.New("journal: file writer closed")
+	}
+	return fw.broken
+}
+
+// rollbackLocked undoes a failed Write by truncating the file to the
+// size it had before the call, and returns the write's error. A failed
+// rollback marks the writer broken.
+func (fw *FileWriter) rollbackLocked(cause error) error {
+	err := fw.f.Truncate(fw.size)
+	if err == nil {
+		err = fw.f.Sync()
+	}
+	if err != nil {
+		fw.broken = fmt.Errorf("journal: %s is read-only until reopened: rolling back a failed write: %w", fw.path, err)
+		return fmt.Errorf("%w (after write error: %w)", fw.broken, cause)
+	}
+	return cause
 }
 
 // Sync flushes the file to stable storage regardless of policy.
@@ -146,8 +191,8 @@ func (fw *FileWriter) Size() int64 {
 func (fw *FileWriter) CompactTo(keep int64) (int64, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.f == nil {
-		return 0, errors.New("journal: file writer closed")
+	if err := fw.usableLocked(); err != nil {
+		return 0, err
 	}
 	if keep < 0 || keep > fw.size {
 		return 0, fmt.Errorf("journal: compact offset %d outside file of %d bytes", keep, fw.size)

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,5 +223,142 @@ func TestFileWriterBacksJournalWriter(t *testing.T) {
 	}
 	if len(events) != 2 || events[1].Seq != 2 || events[1].Amount != 2 {
 		t.Fatalf("round-trip = %+v", events)
+	}
+}
+
+// faultyFile wraps the journal's real *os.File and fails the next
+// write, sync or truncate when told to. A failed write still lands half
+// its bytes, as a short write on a full disk does; a failed sync comes
+// after the whole write reached the file, as an fsync EIO does.
+type faultyFile struct {
+	*os.File
+	failWrite, failSync, failTruncate bool
+	writes, syncs, truncates          int
+}
+
+var errInjected = errors.New("injected I/O error")
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.failWrite {
+		f.failWrite = false
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	f.syncs++
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	f.truncates++
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// openFaulty opens a SyncAlways FileWriter at path whose file injects
+// faults on demand.
+func openFaulty(t *testing.T, path string) (*FileWriter, *faultyFile) {
+	t.Helper()
+	fw, err := OpenFile(path, SyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &faultyFile{File: fw.f.(*os.File)}
+	fw.f = ff
+	return fw, ff
+}
+
+// TestFileWriterRollsBackFailedWrite: a batch whose write or fsync
+// fails leaves no bytes in the journal, so the next batch — which
+// reuses the failed batch's sequence numbers — yields a gap-free log
+// that recovers exactly the acknowledged events.
+func TestFileWriterRollsBackFailedWrite(t *testing.T) {
+	for _, fault := range []string{"write", "sync"} {
+		t.Run(fault, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.log")
+			fw, ff := openFaulty(t, path)
+			w := NewWriter(fw, 1)
+			if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+				t.Fatal(err)
+			}
+			if ff.truncates != 0 || ff.writes != 1 || ff.syncs != 1 {
+				t.Fatalf("successful append cost %d writes, %d syncs, %d truncates; want 1, 1, 0",
+					ff.writes, ff.syncs, ff.truncates)
+			}
+			size := fw.Size()
+			ff.failWrite, ff.failSync = fault == "write", fault == "sync"
+			failed := []Event{{Kind: KindJoin, Name: "bo", Sponsor: "ada"}, {Kind: KindContribute, Name: "bo", Amount: 9}}
+			if _, err := w.AppendBatch(failed); !errors.Is(err, errInjected) {
+				t.Fatalf("failed batch: err = %v, want the injected error", err)
+			}
+			if fw.Size() != size {
+				t.Fatalf("Size after failed write = %d, want %d", fw.Size(), size)
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != size {
+				t.Fatalf("file after failed write: %v, %v; want %d bytes", st, err, size)
+			}
+			persisted, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if persisted.Seq != 2 {
+				t.Fatalf("next append got seq %d, want 2", persisted.Seq)
+			}
+			fw.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, err := Read(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("journal after a failed write: %v", err)
+			}
+			if len(events) != 2 || !events[1].Equal(persisted) {
+				t.Fatalf("recovered %+v, want ada's join and contribution only", events)
+			}
+		})
+	}
+}
+
+// TestFileWriterRefusesAfterFailedRollback: when the rollback of a
+// failed write fails too, the file's tail is unknown, so the writer
+// refuses every later append and compaction until the file is reopened.
+func TestFileWriterRefusesAfterFailedRollback(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.log")
+	fw, ff := openFaulty(t, path)
+	w := NewWriter(fw, 1)
+	if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+		t.Fatal(err)
+	}
+	ff.failSync, ff.failTruncate = true, true
+	if _, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 1}); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected error", err)
+	}
+	ff.failTruncate = false
+	_, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 2})
+	if err == nil || !strings.Contains(err.Error(), "read-only until reopened") {
+		t.Fatalf("append after a failed rollback: err = %v, want a refusal", err)
+	}
+	if _, err := fw.CompactTo(fw.Size()); err == nil || !strings.Contains(err.Error(), "read-only until reopened") {
+		t.Fatalf("compaction after a failed rollback: err = %v, want a refusal", err)
+	}
+	fw.Close()
+	fw2, err := OpenFile(path, SyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw2.Close()
+	if _, err := fw2.Write(nil); err != nil {
+		t.Fatalf("reopened writer: %v", err)
 	}
 }

@@ -15,17 +15,16 @@ func mustRecord(f *testing.F, e Event, mode Mode) []byte {
 	return rec
 }
 
-// settleSeedLog builds a small mixed-format log ending in a settle —
-// the mixed-log legality the codec guarantees must extend to the new
-// record kinds.
+// settleSeedLog builds a small log of every ledger record kind after
+// the participant records it refers to.
 func settleSeedLog(f *testing.F) []byte {
 	f.Helper()
 	var log bytes.Buffer
-	log.Write(mustRecord(f, Event{Seq: 1, Kind: KindJoin, Name: "alice"}, ModeJSON))
+	log.Write(mustRecord(f, Event{Seq: 1, Kind: KindJoin, Name: "alice"}, ModeBinary))
 	log.Write(mustRecord(f, Event{Seq: 2, Kind: KindContribute, Name: "alice", Amount: 4}, ModeBinary))
 	log.Write(mustRecord(f, Event{Seq: 3, Kind: KindSettle, Epoch: 1, Pool: 2, CTotal: 4,
 		Rewards: []RewardShare{{Name: "alice", Amount: 1.5}}}, ModeBinary))
-	log.Write(mustRecord(f, Event{Seq: 4, Kind: KindClaim, Name: "alice", Epoch: 1, Amount: 1.5}, ModeJSON))
+	log.Write(mustRecord(f, Event{Seq: 4, Kind: KindClaim, Name: "alice", Epoch: 1, Amount: 1.5}, ModeBinary))
 	return log.Bytes()
 }
 
@@ -33,8 +32,8 @@ func settleSeedLog(f *testing.F) []byte {
 // no input may panic or decode into an invalid event, and any accepted
 // binary settle record must re-encode to the exact bytes it was
 // decoded from (canonical encoding — replication's rolling hash and
-// `itree convert` both depend on it). Seeds cover both formats and
-// mixed logs.
+// `itree convert` both depend on it). The JSON-line seeds are records
+// of older releases, which the decoder must refuse.
 func FuzzSettleRecordDecode(f *testing.F) {
 	settle := Event{Seq: 7, Kind: KindSettle, Epoch: 3, Pool: 12.5, CTotal: 100,
 		Rewards: []RewardShare{{Name: "alice", Amount: 4.25}, {Name: "bob", Amount: 8}}}

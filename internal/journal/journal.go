@@ -1,9 +1,11 @@
 // Package journal provides an append-only event log for Incentive Tree
-// deployments: every state change (join, contribute, quarantine) is
-// recorded as one JSON line, and a log replays into the exact referral
-// tree — and payout-quarantine set — it witnessed. Together with the tree's JSON snapshot format this gives
-// the in-memory HTTP service (internal/server) crash-recovery semantics:
-// snapshot + suffix-of-journal = current state.
+// deployments: every state change (join, contribute, quarantine,
+// settle, claim) is recorded as one CRC-checked binary record (see
+// binary.go), and a log replays into the exact referral tree — and
+// payout-quarantine set and settlement ledger — it witnessed. Together
+// with a snapshot this gives the in-memory HTTP service
+// (internal/server) crash-recovery semantics: snapshot +
+// suffix-of-journal = current state.
 package journal
 
 import (
@@ -195,37 +197,33 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// Writer appends events in one of the journal wire formats (JSON lines
-// or binary records; see binary.go). It is safe for concurrent use.
+// Writer appends events as binary records (see binary.go). It is safe
+// for concurrent use.
 type Writer struct {
-	mu   sync.Mutex
-	w    io.Writer
-	seq  uint64
-	mode Mode
-	buf  []byte // encode scratch, reused under mu
+	mu  sync.Mutex
+	w   io.Writer
+	seq uint64
+	buf []byte // encode scratch, reused under mu
 }
 
-// NewWriter wraps w, writing JSON lines — the legacy format, still the
-// default for callers that pin byte-level compatibility. Use nextSeq =
-// 1 for a fresh log, or the successor of the last persisted sequence
-// number when appending.
+// NewWriter wraps w. Use nextSeq = 1 for a fresh log, or the successor
+// of the last persisted sequence number when appending.
 func NewWriter(w io.Writer, nextSeq uint64) *Writer {
-	return NewWriterMode(w, nextSeq, ModeJSON)
-}
-
-// NewWriterMode is NewWriter with an explicit record format. Appending
-// binary records to a journal holding JSON lines (or vice versa) is
-// legal: records are self-describing, and every reader handles mixed
-// logs — this is how existing deployments migrate in place.
-func NewWriterMode(w io.Writer, nextSeq uint64, mode Mode) *Writer {
 	if nextSeq == 0 {
 		nextSeq = 1
 	}
-	return &Writer{w: w, seq: nextSeq, mode: mode}
+	return &Writer{w: w, seq: nextSeq}
 }
 
-// Mode reports the format the writer appends in.
-func (jw *Writer) Mode() Mode { return jw.mode }
+// NewWriterMode is NewWriter for callers that name the record format.
+// Binary is the only format a journal holds, so any other mode panics;
+// JSON lines are an export form written by NewEncoderMode.
+func NewWriterMode(w io.Writer, nextSeq uint64, mode Mode) *Writer {
+	if mode != ModeBinary {
+		panic(fmt.Sprintf("journal: a Writer appends binary records only, not %v", mode))
+	}
+	return NewWriter(w, nextSeq)
+}
 
 // Append assigns the next sequence number, validates, and writes the
 // event as one record. It returns the persisted event.
@@ -233,7 +231,7 @@ func (jw *Writer) Append(e Event) (Event, error) {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	e.Seq = jw.seq
-	data, err := appendRecord(jw.buf[:0], e, jw.mode)
+	data, err := AppendBinaryRecord(jw.buf[:0], e)
 	if err != nil {
 		return Event{}, err
 	}
@@ -252,8 +250,9 @@ func (jw *Writer) Append(e Event) (Event, error) {
 // group-commit primitive: a FileWriter backing jw issues at most one
 // fsync for the whole batch, and the bytes are identical to len(events)
 // individual Appends. Validation and encoding happen before any byte is
-// written, so a failed batch leaves the log and the sequence counter
-// untouched. It returns the persisted events.
+// written, and a failed batch leaves the sequence counter untouched;
+// the log is untouched too when the underlying writer is all-or-nothing,
+// as FileWriter is. It returns the persisted events.
 func (jw *Writer) AppendBatch(events []Event) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -265,7 +264,7 @@ func (jw *Writer) AppendBatch(events []Event) ([]Event, error) {
 	for i, e := range events {
 		e.Seq = jw.seq + uint64(i)
 		var err error
-		buf, err = appendRecord(buf, e, jw.mode)
+		buf, err = AppendBinaryRecord(buf, e)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +280,7 @@ func (jw *Writer) AppendBatch(events []Event) ([]Event, error) {
 	return out, nil
 }
 
-// ErrTornTail reports that the final line of a journal was malformed —
+// ErrTornTail reports that the final record of a journal was malformed —
 // the signature of a crash mid-append. All complete events before it
 // are returned alongside the error, so callers may treat it as a
 // recoverable condition. Match with errors.Is; errors.As against
@@ -289,29 +288,30 @@ func (jw *Writer) AppendBatch(events []Event) ([]Event, error) {
 // appending again.
 var ErrTornTail = errors.New("journal: torn tail")
 
-// TornTailError carries the location of a torn final line.
+// TornTailError carries the location of a torn final record.
 type TornTailError struct {
-	// Offset is the byte offset where the torn line starts: the length
-	// of the valid prefix of the log.
+	// Offset is the byte offset where the torn record starts: the
+	// length of the valid prefix of the log.
 	Offset int64
-	// Line is the 1-based line number of the torn line.
+	// Line is the 1-based number of the torn record.
 	Line int
-	// Cause is the decode or validation error the line produced.
+	// Cause is the decode or validation error the record produced.
 	Cause error
 }
 
 func (e *TornTailError) Error() string {
-	return fmt.Sprintf("journal: torn tail at line %d (valid prefix %d bytes): %v", e.Line, e.Offset, e.Cause)
+	return fmt.Sprintf("journal: torn tail at record %d (valid prefix %d bytes): %v", e.Line, e.Offset, e.Cause)
 }
 
 // Unwrap makes the error match both ErrTornTail and its cause.
 func (e *TornTailError) Unwrap() []error { return []error{ErrTornTail, e.Cause} }
 
 // Read decodes all events from r, checking sequence continuity. A
-// malformed final line (crash mid-append) is tolerated: Read returns
+// malformed final record (crash mid-append) is tolerated: Read returns
 // every complete event plus a *TornTailError wrapping ErrTornTail.
-// Malformed lines with events after them, and sequence gaps anywhere,
-// remain hard errors — they mean mid-log corruption, not a torn tail.
+// Malformed records with events after them, sequence gaps anywhere,
+// and JSON-lines records (ErrJSONJournal) remain hard errors — they
+// mean mid-log corruption or a log to migrate, not a torn tail.
 func Read(r io.Reader) ([]Event, error) {
 	d := NewDecoder(r)
 	var out []Event
@@ -331,7 +331,10 @@ func Read(r io.Reader) ([]Event, error) {
 	}
 }
 
-// hasContent reports whether anything beyond whitespace remains in br.
+// hasContent reports whether anything beyond whitespace and zero bytes
+// remains in br. Zero bytes count as empty: a filesystem that loses
+// unflushed data after a power cut (ext4 delayed allocation) can leave
+// the file's tail zero-filled.
 func hasContent(br *bufio.Reader) bool {
 	for {
 		b, err := br.ReadByte()
@@ -339,7 +342,7 @@ func hasContent(br *bufio.Reader) bool {
 			return false
 		}
 		switch b {
-		case ' ', '\t', '\r', '\n':
+		case ' ', '\t', '\r', '\n', 0:
 			continue
 		default:
 			return true

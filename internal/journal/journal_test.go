@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
@@ -50,8 +52,9 @@ func TestWriterAssignsSequence(t *testing.T) {
 	if e1.Seq != 1 || e2.Seq != 2 {
 		t.Fatalf("sequences = %d, %d", e1.Seq, e2.Seq)
 	}
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("lines = %d", got)
+	events, err := Read(&buf)
+	if err != nil || len(events) != 2 || !events[1].Equal(e2) {
+		t.Fatalf("log holds %+v, %v; want the 2 appended events", events, err)
 	}
 }
 
@@ -121,27 +124,26 @@ func TestReadRoundTrip(t *testing.T) {
 }
 
 func TestReadDetectsGapsAndGarbage(t *testing.T) {
-	gap := `{"seq":1,"kind":"join","name":"a"}
-{"seq":3,"kind":"join","name":"b"}`
-	if _, err := Read(strings.NewReader(gap)); err == nil {
+	gap := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}), rec(t, Event{Seq: 3, Kind: KindJoin, Name: "b"}))
+	if _, err := Read(bytes.NewReader(gap)); err == nil {
 		t.Fatal("sequence gap should be detected")
 	}
-	if _, err := Read(strings.NewReader("not json\n")); err == nil {
+	if _, err := Read(strings.NewReader("not a record\n")); err == nil {
 		t.Fatal("garbage should be rejected")
 	}
 	// Blank lines are tolerated.
-	ok := "{\"seq\":1,\"kind\":\"join\",\"name\":\"a\"}\n\n"
-	if _, err := Read(strings.NewReader(ok)); err != nil {
+	ok := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}), []byte("\n\n"))
+	if _, err := Read(bytes.NewReader(ok)); err != nil {
 		t.Fatalf("blank line rejected: %v", err)
 	}
 }
 
 func TestReadTornTail(t *testing.T) {
-	full := `{"seq":1,"kind":"join","name":"ada"}
-{"seq":2,"kind":"contribute","name":"ada","amount":2}
-`
-	torn := full + `{"seq":3,"kind":"contri`
-	events, err := Read(strings.NewReader(torn))
+	full := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "ada"}),
+		rec(t, Event{Seq: 2, Kind: KindContribute, Name: "ada", Amount: 2}))
+	third := rec(t, Event{Seq: 3, Kind: KindContribute, Name: "ada", Amount: 1})
+	torn := cat(full, third[:7])
+	events, err := Read(bytes.NewReader(torn))
 	if !errors.Is(err, ErrTornTail) {
 		t.Fatalf("err = %v, want ErrTornTail", err)
 	}
@@ -159,26 +161,25 @@ func TestReadTornTail(t *testing.T) {
 		t.Fatalf("Line = %d, want 3", tt.Line)
 	}
 	// Truncating at Offset and appending yields a clean log again.
-	repaired := torn[:tt.Offset] + `{"seq":3,"kind":"contribute","name":"ada","amount":1}` + "\n"
-	events, err = Read(strings.NewReader(repaired))
+	repaired := cat(torn[:tt.Offset], third)
+	events, err = Read(bytes.NewReader(repaired))
 	if err != nil || len(events) != 3 {
 		t.Fatalf("repaired log: events = %d, err = %v", len(events), err)
 	}
 }
 
 func TestReadTornTailOnlyAtEnd(t *testing.T) {
-	// A malformed line followed by a valid event is corruption, not a
+	// A malformed record followed by a valid event is corruption, not a
 	// torn tail: recovery must hard-fail rather than drop events.
-	bad := `{"seq":1,"kind":"join","name":"ada"}
-{"seq":2,"kind":"contri
-{"seq":3,"kind":"join","name":"bo","sponsor":"ada"}
-`
-	if _, err := Read(strings.NewReader(bad)); errors.Is(err, ErrTornTail) || err == nil {
+	first := rec(t, Event{Seq: 1, Kind: KindJoin, Name: "ada"})
+	second := rec(t, Event{Seq: 2, Kind: KindContribute, Name: "ada", Amount: 2})
+	bad := cat(first, second[:len(second)/2], rec(t, Event{Seq: 3, Kind: KindJoin, Name: "bo", Sponsor: "ada"}))
+	if _, err := Read(bytes.NewReader(bad)); errors.Is(err, ErrTornTail) || err == nil {
 		t.Fatalf("mid-log corruption must be a hard error, got %v", err)
 	}
-	// Trailing whitespace after the torn line is still a torn tail.
-	tornPlusBlank := "{\"seq\":1,\"kind\":\"join\",\"name\":\"ada\"}\n{\"seq\":2,\"ki\n \n\n"
-	events, err := Read(strings.NewReader(tornPlusBlank))
+	// Trailing whitespace after the torn record is still a torn tail.
+	tornPlusBlank := cat(first, second[:len(second)/2], []byte("\n \n\n"))
+	events, err := Read(bytes.NewReader(tornPlusBlank))
 	if !errors.Is(err, ErrTornTail) {
 		t.Fatalf("err = %v, want ErrTornTail", err)
 	}
@@ -188,12 +189,14 @@ func TestReadTornTailOnlyAtEnd(t *testing.T) {
 }
 
 func TestReadTornTailInvalidFinalEvent(t *testing.T) {
-	// The final line parses as JSON but fails validation — e.g. a
-	// truncated float left it with a zero amount. Still a torn tail.
-	torn := `{"seq":1,"kind":"join","name":"ada"}
-{"seq":2,"kind":"contribute","name":"ada","amount":0}
-`
-	events, err := Read(strings.NewReader(torn))
+	// The final record's CRC checks out but the event fails validation —
+	// a contribution of zero. Still a torn tail.
+	last := rec(t, Event{Seq: 2, Kind: KindContribute, Name: "ada", Amount: 1})
+	payload := last[2 : len(last)-4]
+	binary.LittleEndian.PutUint64(payload[len(payload)-8:], 0) // amount 0
+	binary.LittleEndian.PutUint32(last[len(last)-4:], crc32.Checksum(payload, castagnoli))
+	torn := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "ada"}), last)
+	events, err := Read(bytes.NewReader(torn))
 	if !errors.Is(err, ErrTornTail) {
 		t.Fatalf("err = %v, want ErrTornTail", err)
 	}

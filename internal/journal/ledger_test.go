@@ -2,13 +2,13 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// settleFixtureLog returns a log exercising every ledger interaction:
-// two settled epochs with carry-over, claims against both, in the
-// given record format.
+// settleFixtureEvents returns a log exercising every ledger
+// interaction: two settled epochs with carry-over, claims against both.
 func settleFixtureEvents() []Event {
 	return []Event{
 		{Seq: 1, Kind: KindJoin, Name: "alice"},
@@ -25,43 +25,74 @@ func settleFixtureEvents() []Event {
 	}
 }
 
+// TestSettleClaimRoundTripBothFormats round-trips the settle/claim
+// records through both encodings: binary journal records, which the
+// Writer appends and Read replays, and the JSON-lines export form of
+// NewEncoderMode, which `itree convert` reads back line by line. In
+// each the decoded events equal the originals and re-encoding them
+// reproduces the bytes.
 func TestSettleClaimRoundTripBothFormats(t *testing.T) {
 	events := settleFixtureEvents()
-	for _, mode := range []Mode{ModeJSON, ModeBinary} {
-		t.Run(mode.String(), func(t *testing.T) {
-			var log bytes.Buffer
-			w := NewWriterMode(&log, 1, mode)
-			for _, e := range events {
-				e.Seq = 0
-				if _, err := w.Append(e); err != nil {
-					t.Fatalf("append %+v: %v", e, err)
-				}
+	t.Run("binary", func(t *testing.T) {
+		var log bytes.Buffer
+		w := NewWriter(&log, 1)
+		for _, e := range events {
+			e.Seq = 0
+			if _, err := w.Append(e); err != nil {
+				t.Fatalf("append %+v: %v", e, err)
 			}
-			got, err := Read(bytes.NewReader(log.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(log.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSettleRoundTrip(t, log.Bytes(), got, events, ModeBinary)
+	})
+	t.Run("json", func(t *testing.T) {
+		var export bytes.Buffer
+		enc := NewEncoderMode(&export, ModeJSON)
+		for _, e := range events {
+			if err := enc.Encode(e); err != nil {
+				t.Fatalf("encode %+v: %v", e, err)
 			}
-			if len(got) != len(events) {
-				t.Fatalf("read %d events, want %d", len(got), len(events))
+		}
+		var got []Event
+		for _, line := range bytes.SplitAfter(export.Bytes(), []byte("\n")) {
+			if len(line) == 0 {
+				continue
 			}
-			for i := range got {
-				if !got[i].Equal(events[i]) {
-					t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
-				}
+			var e Event
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("export line %q: %v", line, err)
 			}
-			// Re-encoding the decoded events reproduces the log byte for
-			// byte (the replication property, now for settle/claim too).
-			var reenc bytes.Buffer
-			enc := NewEncoderMode(&reenc, mode)
-			for _, e := range got {
-				if err := enc.Encode(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(log.Bytes(), reenc.Bytes()) {
-				t.Fatalf("re-encoded log differs from original in mode %v", mode)
-			}
-		})
+			got = append(got, e)
+		}
+		checkSettleRoundTrip(t, export.Bytes(), got, events, ModeJSON)
+	})
+}
+
+// checkSettleRoundTrip requires got to equal want, and re-encoding got
+// in mode to reproduce encoded byte for byte (the replication property,
+// now for settle/claim too).
+func checkSettleRoundTrip(t *testing.T, encoded []byte, got, want []Event, mode Mode) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	var reenc bytes.Buffer
+	enc := NewEncoderMode(&reenc, mode)
+	for _, e := range got {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(encoded, reenc.Bytes()) {
+		t.Fatalf("re-encoded %v log differs from original", mode)
 	}
 }
 

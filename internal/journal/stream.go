@@ -5,37 +5,42 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// Decoder incrementally decodes journal events from a byte stream —
-// JSON lines, binary records, or any record-wise mixture of the two
-// (see binary.go for the framing; each record declares its own format
-// in its first byte). Where Read materializes a whole log, a Decoder
-// yields one event per Next call and tracks the byte offset of the last
-// complete record, so callers can tail a live journal (or a replication
-// stream) and resume from where they stopped: seek the underlying file
-// to Offset and build a fresh Decoder.
+// Decoder incrementally decodes journal events from a byte stream of
+// binary records (see binary.go for the framing). Where Read
+// materializes a whole log, a Decoder yields one event per Next call
+// and tracks the byte offset of the last complete record, so callers
+// can tail a live journal (or a replication stream) and resume from
+// where they stopped: seek the underlying file to Offset and build a
+// fresh Decoder.
 //
 // Next returns io.EOF when the stream ends at a record boundary and a
 // *TornTailError (matching ErrTornTail) when it ends mid-record — on a
 // live file that usually means a concurrent append is in flight, not
 // corruption, and the caller retries from Offset. A failed CRC or
 // malformed record with further content behind it is mid-log corruption
-// and stays a hard error. Blank lines are skipped in both formats: a
-// replication stream uses them as heartbeats. A Decoder that returned
-// any error must not be reused; its buffered reader may have consumed
-// bytes past Offset.
+// and stays a hard error, as does a JSON-lines record (ErrJSONJournal).
+// Blank lines are skipped: a replication stream uses them as
+// heartbeats. A Decoder that returned any error must not be reused; its
+// buffered reader may have consumed bytes past Offset.
 type Decoder struct {
 	br     *bufio.Reader
 	offset int64 // byte length of the consumed complete-record prefix
-	line   int   // 1-based number of the last record seen (JSON or binary)
+	line   int   // 1-based number of the last record seen
 	last   uint64
 	next   uint64 // expected seq of the next event; 0 = accept any
-	mode   Mode   // format of the last decoded record
 }
+
+// ErrJSONJournal reports a record that starts with '{': a JSON-lines
+// journal written before binary records became the only on-disk
+// format. It is never a torn tail — a torn binary record starts with
+// its tag byte — so recovery refuses the log instead of truncating it.
+var ErrJSONJournal = errors.New("journal: JSON-lines record from an older release")
 
 // NewDecoder wraps r.
 func NewDecoder(r io.Reader) *Decoder {
@@ -52,12 +57,6 @@ func (d *Decoder) ExpectSeq(seq uint64) { d.next = seq }
 // the position to truncate at, or to resume tailing from.
 func (d *Decoder) Offset() int64 { return d.offset }
 
-// Mode reports the wire format of the record most recently returned by
-// Next. Replication re-encodes each applied event in this mode, so the
-// follower's rolling hash matches the primary's file bytes regardless
-// of which format (or mixture) the journal uses.
-func (d *Decoder) Mode() Mode { return d.mode }
-
 // Next decodes and returns the next event.
 func (d *Decoder) Next() (Event, error) {
 	for {
@@ -68,21 +67,40 @@ func (d *Decoder) Next() (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("journal: scan: %w", err)
 		}
-		switch c := head[0]; {
-		case c == '\n' || c == '\r' || c == ' ' || c == '\t':
+		switch c := head[0]; c {
+		case '\n', '\r', ' ', '\t':
 			// Heartbeat / blank-line bytes between records.
 			if _, err := d.br.ReadByte(); err != nil {
 				return Event{}, fmt.Errorf("journal: scan: %w", err)
 			}
 			d.offset++
 			continue
-		case c == tagBinaryV1:
+		case tagBinaryV1:
 			return d.nextBinary()
+		case '{':
+			return Event{}, fmt.Errorf("%w at record %d, byte %d; migrate the log with `itree convert -kind journal -to binary`",
+				ErrJSONJournal, d.line+1, d.offset)
 		default:
-			// Anything else is handed to the JSON-line path, whose
-			// malformed-line handling classifies torn tails vs corruption.
-			return d.nextJSON()
+			return d.nextUnknown(c)
 		}
+	}
+}
+
+// nextUnknown classifies bytes that start no record. The rest of their
+// line is a torn tail when nothing but whitespace or zero bytes follows
+// it (an interrupted append, or a zero-filled tail after power loss),
+// and mid-log corruption otherwise.
+func (d *Decoder) nextUnknown(c byte) (Event, error) {
+	d.line++
+	cause := fmt.Errorf("%w: unknown record tag %#x", errBinaryRecord, c)
+	_, err := d.br.ReadBytes('\n')
+	switch {
+	case err != nil && err != io.EOF:
+		return Event{}, fmt.Errorf("journal: scan: %w", err)
+	case err == io.EOF || !hasContent(d.br):
+		return Event{}, &TornTailError{Offset: d.offset, Line: d.line, Cause: cause}
+	default:
+		return Event{}, fmt.Errorf("journal: record %d: %w", d.line, cause)
 	}
 }
 
@@ -96,36 +114,6 @@ func (d *Decoder) checkSeq(e Event) error {
 	}
 	d.last = e.Seq
 	return nil
-}
-
-// nextJSON consumes one JSON line.
-func (d *Decoder) nextJSON() (Event, error) {
-	line, readErr := d.br.ReadBytes('\n')
-	if readErr != nil && readErr != io.EOF {
-		return Event{}, fmt.Errorf("journal: scan: %w", readErr)
-	}
-	d.line++
-	trimmed := bytes.TrimSpace(line)
-	var e Event
-	decErr := json.Unmarshal(trimmed, &e)
-	if decErr == nil {
-		decErr = e.Validate()
-	}
-	switch {
-	case decErr == nil:
-		if err := d.checkSeq(e); err != nil {
-			return Event{}, err
-		}
-		d.offset += int64(len(line))
-		d.mode = ModeJSON
-		return e, nil
-	case readErr == io.EOF || !hasContent(d.br):
-		// Malformed final line: a torn tail (crash or in-flight
-		// append). Offset excludes it.
-		return Event{}, &TornTailError{Offset: d.offset, Line: d.line, Cause: decErr}
-	default:
-		return Event{}, fmt.Errorf("journal: line %d: %w", d.line, decErr)
-	}
 }
 
 // nextBinary consumes one framed binary record. The tag byte has been
@@ -173,7 +161,6 @@ func (d *Decoder) nextBinary() (Event, error) {
 			return Event{}, err
 		}
 		d.offset += int64(1 + n + len(frame))
-		d.mode = ModeBinary
 		return e, nil
 	case !hasContent(d.br):
 		// The damaged record is the last thing in the stream: a torn
@@ -236,29 +223,26 @@ func readStreamUvarint(br *bufio.Reader) (uint64, int, error) {
 }
 
 // Encoder writes already-sequenced events in the exact on-disk journal
-// format, byte for byte (a Writer in the same mode produces identical
-// output for the same event). Unlike Writer it assigns no sequence
-// numbers and takes no lock: it is the wire half of replication,
-// re-encoding events that were already committed by a primary's Writer.
-// Not safe for concurrent use.
+// format, byte for byte (a Writer produces identical output for the
+// same event). Unlike Writer it assigns no sequence numbers and takes
+// no lock: it is the wire half of replication, re-encoding events that
+// were already committed by a primary's Writer. Not safe for concurrent
+// use.
 type Encoder struct {
 	w    io.Writer
 	mode Mode
 	buf  []byte
 }
 
-// NewEncoder wraps w, encoding in ModeJSON.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+// NewEncoder wraps w, encoding binary records.
+func NewEncoder(w io.Writer) *Encoder { return NewEncoderMode(w, ModeBinary) }
 
-// NewEncoderMode wraps w, encoding in the given mode.
+// NewEncoderMode wraps w, encoding in the given mode. ModeJSON writes
+// the JSON-lines export form (see `itree convert`); no reader in the
+// daemon accepts it.
 func NewEncoderMode(w io.Writer, m Mode) *Encoder { return &Encoder{w: w, mode: m} }
 
-// SetMode switches the format of subsequent Encode calls. Replication
-// sets it per record, from Decoder.Mode, so a re-encoded stream is
-// byte-identical to the file it was decoded from.
-func (enc *Encoder) SetMode(m Mode) { enc.mode = m }
-
-// Encode validates e and writes it as one record in the current mode.
+// Encode validates e and writes it as one record.
 func (enc *Encoder) Encode(e Event) error {
 	data, err := appendRecord(enc.buf[:0], e, enc.mode)
 	if err != nil {
@@ -271,9 +255,9 @@ func (enc *Encoder) Encode(e Event) error {
 	return nil
 }
 
-// Heartbeat writes a blank line. Decoders skip it in both formats;
-// replication streams send one periodically while idle so
-// intermediaries keep the connection alive.
+// Heartbeat writes a blank line. Decoders skip it; replication
+// streams send one periodically while idle so intermediaries keep the
+// connection alive.
 func (enc *Encoder) Heartbeat() error {
 	if _, err := io.WriteString(enc.w, "\n"); err != nil {
 		return fmt.Errorf("journal: write: %w", err)
@@ -281,7 +265,8 @@ func (enc *Encoder) Heartbeat() error {
 	return nil
 }
 
-// appendRecord appends the on-disk encoding of e in the given mode.
+// appendRecord appends the encoding of e in the given mode: a binary
+// journal record, or a JSON export line.
 func appendRecord(dst []byte, e Event, mode Mode) ([]byte, error) {
 	switch mode {
 	case ModeBinary:

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -47,9 +48,26 @@ func TestDecoderYieldsEventsAndOffsets(t *testing.T) {
 	}
 }
 
+// rec returns e's binary record.
+func rec(t *testing.T, e Event) []byte {
+	t.Helper()
+	data, err := AppendBinaryRecord(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// cat concatenates byte slices into a fresh one.
+func cat(parts ...[]byte) []byte {
+	return bytes.Join(parts, nil)
+}
+
 func TestDecoderSkipsBlankHeartbeats(t *testing.T) {
-	data := "\n" + `{"seq":1,"kind":"join","name":"a"}` + "\n\n\n" + `{"seq":2,"kind":"contribute","name":"a","amount":1}` + "\n\n"
-	d := NewDecoder(strings.NewReader(data))
+	nl := []byte("\n")
+	data := cat(nl, rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}), []byte("\n\n\n"),
+		rec(t, Event{Seq: 2, Kind: KindContribute, Name: "a", Amount: 1}), []byte("\n\n"))
+	d := NewDecoder(bytes.NewReader(data))
 	var seqs []uint64
 	for {
 		e, err := d.Next()
@@ -70,9 +88,10 @@ func TestDecoderSkipsBlankHeartbeats(t *testing.T) {
 }
 
 func TestDecoderTornTailCarriesResumeOffset(t *testing.T) {
-	whole := `{"seq":1,"kind":"join","name":"a"}` + "\n"
-	data := whole + `{"seq":2,"kind":"contri` // append cut mid-record
-	d := NewDecoder(strings.NewReader(data))
+	whole := rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"})
+	second := rec(t, Event{Seq: 2, Kind: KindContribute, Name: "a", Amount: 1})
+	data := cat(whole, second[:len(second)-3]) // append cut mid-record
+	d := NewDecoder(bytes.NewReader(data))
 	if _, err := d.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +108,8 @@ func TestDecoderTornTailCarriesResumeOffset(t *testing.T) {
 	}
 	// Resuming from Offset on the completed stream yields the event the
 	// tear hid — the tailing contract.
-	completed := whole + `{"seq":2,"kind":"contribute","name":"a","amount":1}` + "\n"
-	d2 := NewDecoder(strings.NewReader(completed[torn.Offset:]))
+	completed := cat(whole, second)
+	d2 := NewDecoder(bytes.NewReader(completed[torn.Offset:]))
 	d2.ExpectSeq(2)
 	e, err := d2.Next()
 	if err != nil || e.Seq != 2 {
@@ -99,8 +118,8 @@ func TestDecoderTornTailCarriesResumeOffset(t *testing.T) {
 }
 
 func TestDecoderSequenceGap(t *testing.T) {
-	data := `{"seq":1,"kind":"join","name":"a"}` + "\n" + `{"seq":3,"kind":"join","name":"b"}` + "\n"
-	d := NewDecoder(strings.NewReader(data))
+	data := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}), rec(t, Event{Seq: 3, Kind: KindJoin, Name: "b"}))
+	d := NewDecoder(bytes.NewReader(data))
 	if _, err := d.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +129,13 @@ func TestDecoderSequenceGap(t *testing.T) {
 }
 
 func TestDecoderExpectSeq(t *testing.T) {
-	data := `{"seq":5,"kind":"join","name":"a"}` + "\n"
-	d := NewDecoder(strings.NewReader(data))
+	data := rec(t, Event{Seq: 5, Kind: KindJoin, Name: "a"})
+	d := NewDecoder(bytes.NewReader(data))
 	d.ExpectSeq(5)
 	if _, err := d.Next(); err != nil {
 		t.Fatalf("matching ExpectSeq failed: %v", err)
 	}
-	d2 := NewDecoder(strings.NewReader(data))
+	d2 := NewDecoder(bytes.NewReader(data))
 	d2.ExpectSeq(4)
 	if _, err := d2.Next(); err == nil || !strings.Contains(err.Error(), "sequence gap") {
 		t.Fatalf("want gap error for wrong first seq, got %v", err)
@@ -124,11 +143,67 @@ func TestDecoderExpectSeq(t *testing.T) {
 }
 
 func TestDecoderMidStreamCorruptionIsHard(t *testing.T) {
-	data := "garbage not json\n" + `{"seq":1,"kind":"join","name":"a"}` + "\n"
-	d := NewDecoder(strings.NewReader(data))
+	data := cat([]byte("garbage not a record\n"), rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}))
+	d := NewDecoder(bytes.NewReader(data))
 	_, err := d.Next()
 	if err == nil || errors.Is(err, ErrTornTail) || err == io.EOF {
 		t.Fatalf("mid-stream corruption must be a hard error, got %v", err)
+	}
+}
+
+// TestDecoderRefusesJSONLines: a record starting with '{' is a JSON
+// line from an older release — a hard ErrJSONJournal wherever it sits,
+// even as the final, malformed record, so recovery never truncates a
+// JSON-era log as if it were a torn tail.
+func TestDecoderRefusesJSONLines(t *testing.T) {
+	var jsonLog bytes.Buffer
+	enc := NewEncoderMode(&jsonLog, ModeJSON)
+	if err := enc.Encode(Event{Seq: 1, Kind: KindJoin, Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	first := rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"})
+	for name, data := range map[string][]byte{
+		"json log":          jsonLog.Bytes(),
+		"torn json line":    jsonLog.Bytes()[:10],
+		"json after binary": cat(first, []byte(`{"seq":2,"kind":"join","name":"b"}`+"\n")),
+	} {
+		events, err := Read(bytes.NewReader(data))
+		if !errors.Is(err, ErrJSONJournal) || errors.Is(err, ErrTornTail) {
+			t.Errorf("%s: err = %v, want ErrJSONJournal", name, err)
+		}
+		if !strings.Contains(fmt.Sprint(err), "itree convert") {
+			t.Errorf("%s: error %q does not name itree convert", name, err)
+		}
+		if events != nil {
+			t.Errorf("%s: Read returned %d events alongside a hard error", name, len(events))
+		}
+	}
+}
+
+// TestReadZeroFilledTail: a filesystem that loses unflushed data after
+// a power cut can leave the journal's tail zero-filled, at a record
+// boundary or inside the last record. Either way Read keeps every
+// complete record and reports a torn tail at the last good offset.
+func TestReadZeroFilledTail(t *testing.T) {
+	good := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}),
+		rec(t, Event{Seq: 2, Kind: KindContribute, Name: "a", Amount: 2}))
+	third := rec(t, Event{Seq: 3, Kind: KindContribute, Name: "a", Amount: 1})
+	zeros := make([]byte, 4096)
+	for name, data := range map[string][]byte{
+		"at record boundary": cat(good, zeros),
+		"inside a record":    cat(good, third[:len(third)/2], zeros),
+	} {
+		events, err := Read(bytes.NewReader(data))
+		var torn *TornTailError
+		if !errors.As(err, &torn) {
+			t.Fatalf("%s: err = %v, want a torn tail", name, err)
+		}
+		if torn.Offset != int64(len(good)) {
+			t.Fatalf("%s: Offset = %d, want %d", name, torn.Offset, len(good))
+		}
+		if len(events) != 2 || events[1].Amount != 2 {
+			t.Fatalf("%s: events = %+v, want the 2 complete ones", name, events)
+		}
 	}
 }
 
@@ -197,10 +272,10 @@ func TestEncoderHeartbeatIsSkippedByDecoder(t *testing.T) {
 // TestReadMatchesDecoder cross-checks the batch reader against the
 // incremental one on a log with a torn tail.
 func TestReadMatchesDecoder(t *testing.T) {
-	data := `{"seq":1,"kind":"join","name":"a"}` + "\n" +
-		`{"seq":2,"kind":"contribute","name":"a","amount":3}` + "\n" +
-		`{"seq":3,"kind":"contr`
-	events, err := Read(strings.NewReader(data))
+	third := rec(t, Event{Seq: 3, Kind: KindContribute, Name: "a", Amount: 1})
+	data := cat(rec(t, Event{Seq: 1, Kind: KindJoin, Name: "a"}),
+		rec(t, Event{Seq: 2, Kind: KindContribute, Name: "a", Amount: 3}), third[:5])
+	events, err := Read(bytes.NewReader(data))
 	var torn *TornTailError
 	if !errors.As(err, &torn) {
 		t.Fatalf("want torn tail from Read, got %v", err)
@@ -209,14 +284,14 @@ func TestReadMatchesDecoder(t *testing.T) {
 		t.Fatalf("Read returned %d events, want 2", len(events))
 	}
 
-	d := NewDecoder(strings.NewReader(data))
+	d := NewDecoder(bytes.NewReader(data))
 	var incr []Event
 	for {
 		e, derr := d.Next()
 		if derr != nil {
 			var dtorn *TornTailError
 			if !errors.As(derr, &dtorn) || dtorn.Offset != torn.Offset || dtorn.Line != torn.Line {
-				t.Fatalf("decoder end state %v, want torn tail at offset %d line %d", derr, torn.Offset, torn.Line)
+				t.Fatalf("decoder end state %v, want torn tail at offset %d record %d", derr, torn.Offset, torn.Line)
 			}
 			break
 		}

@@ -32,7 +32,7 @@ func TestRegisteredMetricSurfaceIsItreeNamespaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := server.New(experiments.Instrumented(m, reg), server.WithMetrics(reg))
+	s := server.New(experiments.Instrumented(m, reg), server.WithMetricsLabels(reg))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

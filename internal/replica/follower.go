@@ -421,7 +421,7 @@ func (m *Manager) tailOnce(ctx context.Context, t *tail) error {
 
 	dec := journal.NewDecoder(resp.Body)
 	dec.ExpectSeq(from)
-	batch := make([]streamRecord, 0, applyBatchMax)
+	batch := make([]journal.Event, 0, applyBatchMax)
 	var streamErr error
 	for streamErr == nil {
 		e, err := dec.Next()
@@ -435,7 +435,7 @@ func (m *Manager) tailOnce(ctx context.Context, t *tail) error {
 			streamErr = fmt.Errorf("journal %s: stream: %w", t.id, err)
 			break
 		}
-		batch = append(batch, streamRecord{ev: e, mode: dec.Mode()})
+		batch = append(batch, e)
 		if len(batch) >= applyBatchMax {
 			if err := m.apply(t, batch); err != nil {
 				return err
@@ -457,43 +457,28 @@ func (m *Manager) tailOnce(ctx context.Context, t *tail) error {
 	return nil
 }
 
-// streamRecord is one event off the replication stream together with
-// the wire format it arrived in — the format the record has in the
-// primary's journal file, which the rolling hash must reproduce.
-type streamRecord struct {
-	ev   journal.Event
-	mode journal.Mode
-}
-
 // apply replays one batch into the campaign's deployment and extends
 // the rolling record hash.
-func (m *Manager) apply(t *tail, batch []streamRecord) error {
+func (m *Manager) apply(t *tail, batch []journal.Event) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	events := make([]journal.Event, len(batch))
-	for i, r := range batch {
-		events[i] = r.ev
-	}
-	if err := t.applier.ApplyReplicated(events); err != nil {
+	if err := t.applier.ApplyReplicated(batch); err != nil {
 		// Divergence (the state may be partially advanced): discard and
 		// re-bootstrap rather than serve a state no primary ever had.
 		t.synced.Store(false)
 		return fmt.Errorf("apply %s: %w", t.id, err)
 	}
-	last := events[len(events)-1].Seq
+	last := batch[len(batch)-1].Seq
 	t.applied.Store(last)
 	storeMax(&t.committed, last)
 	m.mApplied.Add(uint64(len(batch)))
 	t.hashMu.Lock()
 	enc := journal.NewEncoder(t.hash)
-	for _, r := range batch {
-		// Each record re-encodes in the mode it was decoded from, so the
-		// hash tracks the primary's file bytes regardless of format (or
-		// mixture). Events came off a Decoder, so they re-encode
-		// losslessly; sha256 writes cannot fail.
-		enc.SetMode(r.mode)
-		_ = enc.Encode(r.ev)
+	for _, e := range batch {
+		// Events came off a Decoder, so they re-encode losslessly to
+		// the primary's file bytes; sha256 writes cannot fail.
+		_ = enc.Encode(e)
 	}
 	t.hashMu.Unlock()
 	return nil

@@ -96,7 +96,7 @@ type gapResponse struct {
 }
 
 // ServeJournal answers GET .../replica/journal?from=<seq>&wait=<dur>:
-// a long-poll NDJSON stream of journal records from <seq> onward.
+// a long-poll stream of journal records from <seq> onward.
 //
 // The response is one batch: everything available is streamed and the
 // request completes; the follower immediately re-polls from its new
@@ -190,8 +190,8 @@ func (s *journalStream) sendHeader() {
 		return
 	}
 	s.w.Header().Set(HeaderCommittedSeq, strconv.FormatUint(s.c.LastSeq(), 10))
-	s.w.Header().Set("Content-Type", "application/x-ndjson")
-	//itreevet:ignore httpcontract streaming NDJSON response, not a JSON error; the s.enc guard makes the commit idempotent
+	s.w.Header().Set("Content-Type", "application/octet-stream")
+	//itreevet:ignore httpcontract streaming journal records, not a JSON error; the s.enc guard makes the commit idempotent
 	s.w.WriteHeader(http.StatusOK)
 	s.enc = journal.NewEncoder(s.w)
 }
@@ -241,9 +241,6 @@ func (s *journalStream) scan() (stop bool) {
 			return true
 		}
 		s.sendHeader() //itreevet:ignore httpcontract idempotent: sendHeader returns early once s.enc is set
-		// Re-encode in the mode the record had on disk, so the bytes a
-		// follower hashes equal the bytes in this file.
-		s.enc.SetMode(dec.Mode())
 		if err := s.enc.Encode(e); err != nil {
 			return true // client went away
 		}

@@ -12,13 +12,13 @@
 //	       X-Itree-Committed-Seq: <committed>
 //
 //	GET /v1/campaigns/{id}/replica/journal?from=<seq>&wait=<dur>
-//	    -> 200 application/x-ndjson: the journal records from <seq>
-//	       onward, one JSON line each — the on-disk journal format,
-//	       byte for byte. X-Itree-Committed-Seq carries the committed
-//	       sequence at response start. With no records available the
-//	       primary holds the request up to <dur> (long poll), emitting
-//	       blank-line heartbeats, and returns what arrived (possibly
-//	       nothing).
+//	    -> 200 application/octet-stream: the journal records from
+//	       <seq> onward as binary records — the on-disk journal
+//	       format, byte for byte. X-Itree-Committed-Seq carries the
+//	       committed sequence at response start. With no records
+//	       available the primary holds the request up to <dur> (long
+//	       poll), emitting blank-line heartbeats, and returns what
+//	       arrived (possibly nothing).
 //	    -> 410 when <seq> predates the oldest retained record (the
 //	       checkpointer compacted it away): the follower cannot catch
 //	       up by tailing and must re-bootstrap from snapshot.

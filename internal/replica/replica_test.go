@@ -379,6 +379,9 @@ func TestJournalEndpointGapAndEmptyPoll(t *testing.T) {
 	if got := hdr.Get(replica.HeaderCommittedSeq); got != "10" {
 		t.Fatalf("committed header %q, want 10", got)
 	}
+	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("stream Content-Type %q, want application/octet-stream", ct)
+	}
 	if len(bytes.TrimSpace(body)) != 0 {
 		t.Fatalf("empty poll returned records: %q", body)
 	}

@@ -13,6 +13,11 @@ import (
 	"incentivetree/internal/tree"
 )
 
+// errJournalAppend marks a write the journal failed to persist. The
+// ops were valid; the log refused them (I/O error, or a journal file
+// left read-only by a failed rollback), so clients see 503, not 400.
+var errJournalAppend = errors.New("server: journal append")
+
 // WithBatching routes HTTP writes through a group-commit ingest
 // pipeline (see internal/ingest): requests enqueue onto a bounded
 // queue, a committer goroutine drains them into batches, and each
@@ -171,7 +176,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 		persisted, err := s.journal.AppendBatch(events)
 		if err != nil {
 			s.rollbackLocked(mark, joins, contribs)
-			err = fmt.Errorf("server: journal append: %w", err)
+			err = fmt.Errorf("%w: %w", errJournalAppend, err)
 			for _, oi := range eventOps {
 				errs[oi] = err
 			}

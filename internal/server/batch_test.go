@@ -306,8 +306,8 @@ func TestLeaderboardEndpoint(t *testing.T) {
 
 // TestWriteOpErrorMapping checks the write path's error-to-HTTP
 // contract: admission-control sheds are 429 with a Retry-After hint
-// and a JSON body; shutdown and abandonment are 503; everything else
-// is the op's own 400.
+// and a JSON body; shutdown, abandonment and journal failures are 503;
+// everything else is the op's own 400.
 func TestWriteOpErrorMapping(t *testing.T) {
 	cases := []struct {
 		err        error
@@ -318,6 +318,7 @@ func TestWriteOpErrorMapping(t *testing.T) {
 		{ingest.ErrClosed, http.StatusServiceUnavailable, ""},
 		{context.Canceled, http.StatusServiceUnavailable, ""},
 		{context.DeadlineExceeded, http.StatusServiceUnavailable, ""},
+		{fmt.Errorf("%w: %w", errJournalAppend, errors.New("sync: input/output error")), http.StatusServiceUnavailable, ""},
 		{errors.New("amount must be positive"), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
@@ -346,7 +347,7 @@ func TestRewardsCacheVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := New(m, WithMetrics(reg))
+	s := New(m, WithMetricsLabels(reg))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	if err := s.Join("alice", ""); err != nil {

@@ -4,10 +4,13 @@ import (
 	"incentivetree/internal/obs"
 )
 
-// WithMetrics attaches an observability registry: Handler() wraps the
-// API in obs.Middleware (per-route request counts, status classes,
-// latency histograms) and the deployment's domain gauges are registered
-// for scraping:
+// WithMetricsLabels attaches an observability registry: Handler()
+// wraps the API in obs.Middleware (per-route request counts, status
+// classes, latency histograms) and the deployment's domain gauges are
+// registered for scraping, each stamped with the fixed label set
+// (variadic key/value pairs, e.g. "campaign", id) so many deployments —
+// the store's campaigns — can share one registry without clobbering
+// each other's series:
 //
 //	itree_participants         current number of participants
 //	itree_tree_depth_max       deepest participant
@@ -18,21 +21,7 @@ import (
 //	itree_journal_last_seq     last persisted journal sequence number
 //
 // Gauges are computed at scrape time under the server's read lock; the
-// reward gauges cost one O(n) mechanism evaluation per scrape. If
-// several servers share one registry without distinguishing labels, the
-// gauges describe the server registered last — multi-tenant callers
-// should use WithMetricsLabels instead.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(s *Server) {
-		s.metrics = reg
-		s.registerGauges(reg)
-	}
-}
-
-// WithMetricsLabels is WithMetrics with a fixed label set (variadic
-// key/value pairs, e.g. "campaign", id) stamped on every domain gauge,
-// so many deployments — the store's campaigns — can share one registry
-// without clobbering each other's series.
+// reward gauges cost one O(n) mechanism evaluation per scrape.
 func WithMetricsLabels(reg *obs.Registry, labels ...string) Option {
 	return func(s *Server) {
 		s.metrics = reg

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -218,13 +217,13 @@ func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 	if len(snap.Quarantined) != 1 || snap.Quarantined[0] != "b" {
 		t.Fatalf("snapshot.Quarantined = %v, want [b]", snap.Quarantined)
 	}
-	// JSON round trip, as the checkpointer stores it.
-	data, err := json.Marshal(snap)
+	// Binary round trip, as the checkpointer stores it.
+	data, err := EncodeSnapshotBinary(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Snapshot
-	if err := json.Unmarshal(data, &decoded); err != nil {
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +241,7 @@ func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := New(m)
-	if err := Recover(s2, &decoded, events); err != nil {
+	if err := Recover(s2, decoded, events); err != nil {
 		t.Fatal(err)
 	}
 	if got := httpBody(t, s2, "/v1/rewards"); got != want {

@@ -159,9 +159,9 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the HTTP API. With WithMetrics configured, every
-// route is wrapped in obs.Middleware, recording request counts, status
-// classes, and latency histograms keyed by route pattern.
+// Handler returns the HTTP API. With WithMetricsLabels configured,
+// every route is wrapped in obs.Middleware, recording request counts,
+// status classes, and latency histograms keyed by route pattern.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", s.handleJoin)
@@ -221,14 +221,15 @@ func (s *Server) handleContribute(w http.ResponseWriter, r *http.Request) {
 
 // writeOpError maps a write-path failure to its HTTP shape: a full
 // ingest queue is admission control (429 with a Retry-After hint), a
-// closed pipeline or abandoned request is a 503, and anything else is
-// the op's own validation error (400).
+// closed pipeline, abandoned request or failed journal append is a
+// 503, and anything else is the op's own validation error (400).
 func writeOpError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ingest.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
-	case errors.Is(err, ingest.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, ingest.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, errJournalAppend):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})

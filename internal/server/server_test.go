@@ -234,7 +234,7 @@ func newMeteredServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := New(m, WithMetrics(reg))
+	s := New(m, WithMetricsLabels(reg))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, reg

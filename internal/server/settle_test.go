@@ -14,15 +14,15 @@ import (
 )
 
 // newSettleFixture builds a journaled server with the quarantine
-// fixture population, in the given journal format.
-func newSettleFixture(t *testing.T, mode journal.Mode) (*Server, *bytes.Buffer) {
+// fixture population.
+func newSettleFixture(t *testing.T) (*Server, *bytes.Buffer) {
 	t.Helper()
 	m, err := geometric.Default(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	s := New(m, WithJournal(journal.NewWriterMode(&log, 1, mode)))
+	s := New(m, WithJournal(journal.NewWriter(&log, 1)))
 	buildQuarantineFixture(t, s)
 	return s, &log
 }
@@ -60,7 +60,7 @@ func checkLedgerInvariant(t *testing.T, s *Server) {
 }
 
 func TestSettleAndClaimHTTP(t *testing.T) {
-	s, _ := newSettleFixture(t, journal.ModeJSON)
+	s, _ := newSettleFixture(t)
 	ts := newHTTPServer(t, s)
 
 	// First settle: pool = Phi * C(T), shares are the full served table.
@@ -135,7 +135,7 @@ func TestSettleAndClaimHTTP(t *testing.T) {
 }
 
 func TestSettleAccruesDeltaAndCarry(t *testing.T) {
-	s, _ := newSettleFixture(t, journal.ModeJSON)
+	s, _ := newSettleFixture(t)
 	first, err := s.Settle()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSettleAccruesDeltaAndCarry(t *testing.T) {
 }
 
 func TestSettleExcludesQuarantined(t *testing.T) {
-	s, _ := newSettleFixture(t, journal.ModeBinary)
+	s, _ := newSettleFixture(t)
 	if err := s.Quarantine("b"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,88 +230,92 @@ func TestSettleExcludesQuarantined(t *testing.T) {
 // TestSettleLedgerInvariantAcrossRecovery is the acceptance matrix:
 // settle+claim history must survive (1) pure journal replay, (2)
 // snapshot ("checkpoint") recovery, (3) snapshot + journal-suffix
-// recovery, and (4) a torn-tail (kill -9) replay, in both journal
-// formats — with the ledger invariant and the HTTP surface intact.
+// recovery, and (4) a torn-tail (kill -9) replay — with the ledger
+// invariant and the HTTP surface intact.
 func TestSettleLedgerInvariantAcrossRecovery(t *testing.T) {
-	for _, mode := range []journal.Mode{journal.ModeJSON, journal.ModeBinary} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s, log := newSettleFixture(t, mode)
-			if _, err := s.Settle(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Claim("a", 1); err != nil {
-				t.Fatal(err)
-			}
-			snap := s.SnapshotState() // checkpoint between the two epochs
-			if err := s.Contribute("d", 8); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Settle(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Claim("d", 2); err != nil {
-				t.Fatal(err)
-			}
-			want := httpBody(t, s, "/v1/epochs") + httpBody(t, s, "/v1/claims?name=a") + httpBody(t, s, "/v1/rewards")
+	// Journals hold binary records only; the subtest names the record
+	// format under test.
+	t.Run("binary", func(t *testing.T) {
+		s, log := newSettleFixture(t)
+		if _, err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Claim("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		snap := s.SnapshotState() // checkpoint between the two epochs
+		if err := s.Contribute("d", 8); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Claim("d", 2); err != nil {
+			t.Fatal(err)
+		}
+		want := httpBody(t, s, "/v1/epochs") + httpBody(t, s, "/v1/claims?name=a") + httpBody(t, s, "/v1/rewards")
 
-			m := s.Mechanism()
-			events, err := journal.Read(bytes.NewReader(log.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
+		m := s.Mechanism()
+		events, err := journal.Read(bytes.NewReader(log.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// (1) Pure journal replay.
-			r1 := New(m)
-			if err := Recover(r1, nil, events); err != nil {
-				t.Fatal(err)
-			}
-			// (2) Snapshot-only recovery reaches the checkpoint state.
-			r2 := New(m)
-			if err := Recover(r2, &snap, nil); err != nil {
-				t.Fatal(err)
-			}
-			r2.mu.RLock()
-			if r2.ledger.Epochs() != 1 || !r2.ledger.HasClaimed(1, "a") {
-				t.Fatalf("snapshot recovery ledger: epochs=%d", r2.ledger.Epochs())
-			}
-			r2.mu.RUnlock()
-			checkLedgerInvariant(t, r2)
-			// (3) Snapshot + journal suffix.
-			r3 := New(m)
-			if err := Recover(r3, &snap, events); err != nil {
-				t.Fatal(err)
-			}
-			// (4) Torn tail: append garbage, replay tolerates and truncates.
-			torn := append(append([]byte(nil), log.Bytes()...), "{\"seq\":99,"...)
-			tornEvents, err := journal.Read(bytes.NewReader(torn))
-			if !errors.Is(err, journal.ErrTornTail) {
-				t.Fatalf("torn log error = %v, want ErrTornTail", err)
-			}
-			r4 := New(m)
-			if err := Recover(r4, nil, tornEvents); err != nil {
-				t.Fatal(err)
-			}
+		// (1) Pure journal replay.
+		r1 := New(m)
+		if err := Recover(r1, nil, events); err != nil {
+			t.Fatal(err)
+		}
+		// (2) Snapshot-only recovery reaches the checkpoint state.
+		r2 := New(m)
+		if err := Recover(r2, &snap, nil); err != nil {
+			t.Fatal(err)
+		}
+		r2.mu.RLock()
+		if r2.ledger.Epochs() != 1 || !r2.ledger.HasClaimed(1, "a") {
+			t.Fatalf("snapshot recovery ledger: epochs=%d", r2.ledger.Epochs())
+		}
+		r2.mu.RUnlock()
+		checkLedgerInvariant(t, r2)
+		// (3) Snapshot + journal suffix.
+		r3 := New(m)
+		if err := Recover(r3, &snap, events); err != nil {
+			t.Fatal(err)
+		}
+		// (4) Torn tail: a half-written record, which replay drops.
+		next, err := journal.AppendBinaryRecord(nil, journal.Event{Seq: s.LastSeq() + 1, Kind: journal.KindContribute, Name: "a", Amount: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := append(append([]byte(nil), log.Bytes()...), next[:len(next)/2]...)
+		tornEvents, err := journal.Read(bytes.NewReader(torn))
+		if !errors.Is(err, journal.ErrTornTail) {
+			t.Fatalf("torn log error = %v, want ErrTornTail", err)
+		}
+		r4 := New(m)
+		if err := Recover(r4, nil, tornEvents); err != nil {
+			t.Fatal(err)
+		}
 
-			for i, r := range []*Server{r1, r3, r4} {
-				got := httpBody(t, r, "/v1/epochs") + httpBody(t, r, "/v1/claims?name=a") + httpBody(t, r, "/v1/rewards")
-				if got != want {
-					t.Fatalf("recovery path %d diverged:\n got %s\nwant %s", i+1, got, want)
-				}
-				checkLedgerInvariant(t, r)
-				// Idempotency across recovery: the claimed share stays
-				// claimed — a retry is a conflict, not a double credit.
-				if _, err := r.Claim("a", 1); !errors.Is(err, ErrAlreadyClaimed) {
-					t.Fatalf("recovery path %d: re-claim = %v, want ErrAlreadyClaimed", i+1, err)
-				}
+		for i, r := range []*Server{r1, r3, r4} {
+			got := httpBody(t, r, "/v1/epochs") + httpBody(t, r, "/v1/claims?name=a") + httpBody(t, r, "/v1/rewards")
+			if got != want {
+				t.Fatalf("recovery path %d diverged:\n got %s\nwant %s", i+1, got, want)
 			}
-		})
-	}
+			checkLedgerInvariant(t, r)
+			// Idempotency across recovery: the claimed share stays
+			// claimed — a retry is a conflict, not a double credit.
+			if _, err := r.Claim("a", 1); !errors.Is(err, ErrAlreadyClaimed) {
+				t.Fatalf("recovery path %d: re-claim = %v, want ErrAlreadyClaimed", i+1, err)
+			}
+		}
+	})
 }
 
-// TestSettleSnapshotCodecRoundTrip proves settled epochs survive both
-// snapshot representations byte-exactly.
+// TestSettleSnapshotCodecRoundTrip proves settled epochs survive the
+// binary snapshot byte-exactly and the JSON wire form intact.
 func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
-	s, _ := newSettleFixture(t, journal.ModeBinary)
+	s, _ := newSettleFixture(t)
 	if _, err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -346,15 +350,15 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jdec, err := DecodeSnapshot(jsonData)
-	if err != nil {
+	var jdec Snapshot
+	if err := json.Unmarshal(jsonData, &jdec); err != nil {
 		t.Fatal(err)
 	}
 	r1, r2 := New(s.Mechanism()), New(s.Mechanism())
 	if err := r1.RestoreState(*dec); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.RestoreState(*jdec); err != nil {
+	if err := r2.RestoreState(jdec); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := httpBody(t, r1, "/v1/epochs"), httpBody(t, r2, "/v1/epochs"); got != want {
@@ -362,7 +366,7 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 	}
 
 	// A server without settled epochs still writes version-1 bytes.
-	s2, _ := newSettleFixture(t, journal.ModeBinary)
+	s2, _ := newSettleFixture(t)
 	empty := s2.SnapshotState()
 	bin2, err := EncodeSnapshotBinary(&empty)
 	if err != nil {
@@ -385,7 +389,7 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 // TestSettleReplicates proves ApplyReplicated carries settle/claim
 // records to a follower that then serves the identical ledger.
 func TestSettleReplicates(t *testing.T) {
-	s, log := newSettleFixture(t, journal.ModeBinary)
+	s, log := newSettleFixture(t)
 	if _, err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -43,11 +42,8 @@ import (
 // A snapshot with no settled epochs is written as version 1, byte for
 // byte what older releases produced; version 2 with zero epochs is
 // rejected as non-canonical. Both keep the codec's decode∘encode
-// identity (FuzzSnapshotRoundTrip).
-//
-// DecodeSnapshot also accepts the JSON form — documents are
-// distinguished by their first byte — so recovery reads snapshots
-// written by any version, and `itree convert` translates both ways.
+// identity (FuzzSnapshotRoundTrip). `itree convert` translates between
+// this form and the JSON one.
 
 // snapshotMagic marks a binary snapshot file.
 var snapshotMagic = []byte("ITS1")
@@ -124,20 +120,12 @@ func IsBinarySnapshot(data []byte) bool {
 	return bytes.HasPrefix(data, snapshotMagic)
 }
 
-// DecodeSnapshot decodes either snapshot representation, detected by
-// the leading bytes: the binary magic, or a JSON document.
+// DecodeSnapshot decodes a binary snapshot. The JSON form is not
+// accepted: it is the HTTP wire form, decoded where it arrives.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if IsBinarySnapshot(data) {
-		return decodeSnapshotBinary(data)
+	if !IsBinarySnapshot(data) {
+		return nil, fmt.Errorf("%w: missing %q magic", ErrSnapshotCorrupt, snapshotMagic)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("server: decode snapshot: %w", err)
-	}
-	return &snap, nil
-}
-
-func decodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapshotMagic)+1+4 {
 		return nil, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
 	}

@@ -73,20 +73,15 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotJSONFallback: DecodeSnapshot reads the JSON
-// representation too, detected by its leading byte.
-func TestDecodeSnapshotJSONFallback(t *testing.T) {
-	snap := snapTestSnapshot(t)
-	jsonData, err := json.Marshal(snap)
+// TestDecodeSnapshotRejectsJSON: the JSON form is the HTTP wire form
+// only; as a snapshot file it is refused, not decoded.
+func TestDecodeSnapshotRejectsJSON(t *testing.T) {
+	jsonData, err := json.Marshal(snapTestSnapshot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(jsonData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LastSeq != snap.LastSeq || got.Tree.CanonicalString() != snap.Tree.CanonicalString() {
-		t.Fatal("JSON snapshot decoded to different state")
+	if _, err := DecodeSnapshot(jsonData); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
@@ -102,9 +97,7 @@ func TestSnapshotBinaryRejectsCorruption(t *testing.T) {
 	for i := range data {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x01
-		if _, err := decodeSnapshotBinary(bad); err == nil {
-			// Flips in the magic make the document "not binary"; those
-			// reach the JSON path in DecodeSnapshot and fail there.
+		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("flip at byte %d decoded cleanly", i)
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +17,7 @@ import (
 )
 
 // tornWriter passes writes through until torn is set; from then on it
-// persists only a fragment of the first line of each write before
+// persists only a fragment of the first record of each write before
 // failing — the disk-full-mid-write shape, which leaves a torn tail on
 // disk rather than the clean nothing that failWriter models.
 type tornWriter struct {
@@ -28,10 +29,10 @@ func (tw *tornWriter) Write(p []byte) (int, error) {
 	if !tw.torn {
 		return tw.w.Write(p)
 	}
-	cut := len(p) / 3
-	if nl := bytes.IndexByte(p, '\n'); nl >= 0 && cut >= nl {
-		cut = nl / 2 // stay inside the first line: no complete event may land
-	}
+	// Stay inside the first record (tag, length prefix, payload, CRC):
+	// no complete event may land.
+	plen, n := binary.Uvarint(p[1:])
+	cut := (1 + n + int(plen) + 4) / 2
 	tw.w.Write(p[:cut])
 	return cut, errors.New("injected torn write")
 }

@@ -137,16 +137,9 @@ func (st *Store) CheckpointAll() error {
 	return first
 }
 
-// Snapshot checkpoint files. Binary-format stores write snapBinFile;
-// JSON-format stores write snapJSONFile. Recovery prefers the binary
-// file when both exist, which is safe because a checkpoint removes the
-// other-format file *before* compacting the journal: a crash in the
-// window where both files exist always leaves a journal that still
-// covers every event past the older file's sequence.
-const (
-	snapBinFile  = "snapshot.bin"
-	snapJSONFile = "snapshot.json"
-)
+// snapFile is a campaign's checkpoint snapshot, in the binary snapshot
+// format (see server.EncodeSnapshotBinary).
+const snapFile = "snapshot.bin"
 
 // Checkpoint atomically snapshots one campaign and compacts its
 // journal, returning the number of journal bytes reclaimed. The
@@ -155,8 +148,7 @@ const (
 //  1. Under the server's read lock, clone the state at sequence k and
 //     record the journal byte offset holding exactly events 1..k.
 //  2. Write the snapshot file via temp + fsync + rename — the snapshot
-//     is now durable; every event <= k is garbage. Remove the
-//     other-format snapshot file if a previous configuration left one.
+//     is now durable; every event <= k is garbage.
 //  3. Compact the journal to its suffix after the recorded offset
 //     (copy + fsync + rename, see journal.FileWriter.CompactTo).
 //
@@ -177,7 +169,7 @@ func (st *Store) Checkpoint(c *Campaign) (reclaimed int64, err error) {
 		return 0, nil // nothing new since the last checkpoint
 	}
 	start := time.Now()
-	if err := st.writeSnapshot(c.dir, &snap); err != nil {
+	if err := writeSnapshot(c.dir, &snap); err != nil {
 		if st.mCPErrors != nil {
 			st.mCPErrors.Inc()
 		}
@@ -199,27 +191,13 @@ func (st *Store) Checkpoint(c *Campaign) (reclaimed int64, err error) {
 	return reclaimed, nil
 }
 
-// writeSnapshot durably writes the checkpoint snapshot in the store's
-// configured format and clears the other format's file, so a campaign
-// directory holds one authoritative snapshot (modulo the documented
-// crash window, which recovery resolves by preferring the binary file).
-func (st *Store) writeSnapshot(dir string, snap *server.Snapshot) error {
-	if st.mode == journal.ModeBinary {
-		data, err := server.EncodeSnapshotBinary(snap)
-		if err != nil {
-			return fmt.Errorf("store: encode snapshot: %w", err)
-		}
-		if err := writeFileAtomic(filepath.Join(dir, snapBinFile), data); err != nil {
-			return err
-		}
-		os.Remove(filepath.Join(dir, snapJSONFile))
-		return nil
+// writeSnapshot durably writes the campaign's checkpoint snapshot.
+func writeSnapshot(dir string, snap *server.Snapshot) error {
+	data, err := server.EncodeSnapshotBinary(snap)
+	if err != nil {
+		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, snapJSONFile), mustJSON(snap)); err != nil {
-		return err
-	}
-	os.Remove(filepath.Join(dir, snapBinFile))
-	return nil
+	return writeFileAtomic(filepath.Join(dir, snapFile), data)
 }
 
 // recoverAll scans the data directory and rebuilds every campaign
@@ -241,10 +219,10 @@ func (st *Store) recoverAll() error {
 }
 
 // recoverCampaign rebuilds one campaign from its directory: meta.json
-// for configuration, snapshot.json for the checkpointed base state, and
+// for configuration, snapshot.bin for the checkpointed base state, and
 // journal.log for the suffix of events after it. A torn final journal
-// line is truncated away (counted on itree_journal_torn_tails_total); stray
-// .tmp files from interrupted checkpoints are removed.
+// record is truncated away (counted on itree_journal_torn_tails_total);
+// stray .tmp files from interrupted checkpoints are removed.
 func (st *Store) recoverCampaign(id string) error {
 	if err := ValidateID(id); err != nil {
 		return fmt.Errorf("store: recover: %w", err)
@@ -263,8 +241,7 @@ func (st *Store) recoverCampaign(id string) error {
 		return err
 	}
 	// Interrupted atomic writes never got renamed; they are garbage.
-	os.Remove(filepath.Join(dir, snapBinFile+".tmp"))
-	os.Remove(filepath.Join(dir, snapJSONFile+".tmp"))
+	os.Remove(filepath.Join(dir, snapFile+".tmp"))
 	os.Remove(filepath.Join(dir, "journal.log.tmp"))
 	os.Remove(filepath.Join(dir, "meta.json.tmp"))
 
@@ -319,33 +296,39 @@ func (st *Store) recoverCampaign(id string) error {
 	return nil
 }
 
-// readSnapshot loads the campaign's checkpoint snapshot, preferring the
-// binary file (see the crash-window note on the file constants). Either
-// file may hold either representation — server.DecodeSnapshot detects
-// the format from the leading bytes — so hand-converted files recover
-// too. No file at all means no checkpoint has been taken yet.
+// readSnapshot loads the campaign's checkpoint snapshot; no file means
+// no checkpoint has been taken yet. A snapshot.json left by a release
+// that checkpointed in JSON is refused rather than ignored: the journal
+// beside it was compacted against it, so recovering without it would
+// silently lose every event it covers.
 func readSnapshot(dir string) (*server.Snapshot, error) {
-	for _, name := range []string{snapBinFile, snapJSONFile} {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		snap, err := server.DecodeSnapshot(data)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: %w", path, err)
-		}
-		return snap, nil
+	old := filepath.Join(dir, "snapshot.json")
+	switch _, err := os.Lstat(old); {
+	case err == nil:
+		return nil, fmt.Errorf("%s is a JSON snapshot from an older release; migrate it with `itree convert -kind snapshot -to binary %s -o %s`",
+			old, old, filepath.Join(dir, snapFile))
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
 	}
-	return nil, nil
+	path := filepath.Join(dir, snapFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	snap, err := server.DecodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", path, err)
+	}
+	return snap, nil
 }
 
 // recoverJournal reads a journal file, repairing a torn tail by
-// truncating the partial final line so appends can continue. A missing
-// file is an empty journal.
+// truncating the partial final record so appends can continue. Any
+// other decode error, a JSON-lines journal included, fails recovery and
+// leaves the file untouched. A missing file is an empty journal.
 func recoverJournal(path string) ([]journal.Event, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {

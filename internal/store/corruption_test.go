@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"incentivetree/internal/journal"
 )
 
 // corruptionFixture provisions a campaign with a binary journal of a
@@ -160,59 +163,107 @@ func TestBinaryJournalMidLogCorruptionFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterFormatFlip: a JSON-era campaign recovered by a
-// binary-format store keeps its state, appends binary records to the
-// same journal, and its next checkpoint converts the snapshot file —
-// the in-place migration path.
-func TestRecoveryAfterFormatFlip(t *testing.T) {
-	dir := t.TempDir()
-	jsonCfg := testConfig(dir)
-	jsonCfg.Format = "json"
-	st, err := Open(jsonCfg)
+// appendTornRecord appends the first half of e's binary record to the
+// journal at path: what a crash in the middle of an append leaves.
+func appendTornRecord(t *testing.T, path string, e journal.Event) {
+	t.Helper()
+	rec, err := journal.AppendBinaryRecord(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Create(Meta{ID: "acme"}); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := st.Get("acme")
-	for i := 0; i < 3; i++ {
-		if err := c.Server().Join(fmt.Sprintf("p%d", i), ""); err != nil {
+	defer f.Close()
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBinaryJournalZeroFilledTailRecovers: a power cut can leave the
+// journal's tail zero-filled (the file grew, the data never reached the
+// disk). Recovery treats the zeros as a torn tail: it keeps every
+// complete record and trims the rest.
+func TestBinaryJournalZeroFilledTailRecovers(t *testing.T) {
+	cfg, logPath, pre := corruptionFixture(t)
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, append(append([]byte(nil), full...), make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, cfg)
+	if post := rewardsBytes(t, st.Handler(), "acme"); !bytes.Equal(pre, post) {
+		t.Fatalf("recovered rewards differ\npre:  %s\npost: %s", pre, post)
+	}
+	repaired, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(repaired, full) {
+		t.Fatalf("journal trimmed to %d bytes, want the %d complete ones", len(repaired), len(full))
+	}
+}
+
+// TestRecoveryRefusesJSONEraFiles: a campaign directory written by a
+// release that kept JSON on disk fails recovery with an error naming
+// the migrator, and recovery leaves its files byte-identical. A JSON
+// journal is never mistaken for a torn tail — truncating it would empty
+// a one-record log — and a leftover snapshot.json is never ignored: the
+// journal beside it was compacted against it.
+func TestRecoveryRefusesJSONEraFiles(t *testing.T) {
+	// jsonLog re-encodes the first n events of the binary journal at
+	// logPath as JSON lines, the format older releases wrote.
+	jsonLog := func(t *testing.T, logPath string, n int) []byte {
+		t.Helper()
+		data, err := os.ReadFile(logPath)
+		if err != nil {
 			t.Fatal(err)
 		}
+		events, err := journal.Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		enc := journal.NewEncoderMode(&out, journal.ModeJSON)
+		for _, e := range events[:n] {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
 	}
-	if _, err := st.Checkpoint(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Server().Join("p3", ""); err != nil {
-		t.Fatal(err)
-	}
-	pre := rewardsBytes(t, st.Handler(), "acme")
-	// Crash (no Close); reopen with the binary default.
-	st2 := openStore(t, testConfig(dir))
-	defer st2.Close()
-	if post := rewardsBytes(t, st2.Handler(), "acme"); !bytes.Equal(pre, post) {
-		t.Fatalf("format-flip recovery differs\npre:  %s\npost: %s", pre, post)
-	}
-	c2, _ := st2.Get("acme")
-	if err := c2.Server().Join("p4", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st2.Checkpoint(c2); err != nil {
-		t.Fatal(err)
-	}
-	campDir := filepath.Join(dir, "campaigns", "acme")
-	if _, err := os.Stat(filepath.Join(campDir, "snapshot.bin")); err != nil {
-		t.Fatalf("binary snapshot missing after migration checkpoint: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(campDir, "snapshot.json")); !os.IsNotExist(err) {
-		t.Fatalf("stale JSON snapshot survived migration: %v", err)
-	}
-	// And the migrated directory still recovers.
-	st3 := openStore(t, testConfig(dir))
-	defer st3.Close()
-	c3, _ := st3.Get("acme")
-	if got := c3.Server().LastSeq(); got != c2.Server().LastSeq() {
-		t.Fatalf("post-migration recovery lastSeq = %d, want %d", got, c2.Server().LastSeq())
+	for name, doctor := range map[string]func(t *testing.T, logPath string) (path string, data []byte){
+		"json journal": func(t *testing.T, logPath string) (string, []byte) {
+			return logPath, jsonLog(t, logPath, 12)
+		},
+		"torn one-record json journal": func(t *testing.T, logPath string) (string, []byte) {
+			first := jsonLog(t, logPath, 1)
+			return logPath, first[:len(first)/2]
+		},
+		"leftover snapshot.json": func(t *testing.T, logPath string) (string, []byte) {
+			return filepath.Join(filepath.Dir(logPath), "snapshot.json"), []byte(`{"last_seq":0,"tree":{}}`)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg, logPath, _ := corruptionFixture(t)
+			path, data := doctor(t, logPath)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(cfg)
+			if err == nil || !strings.Contains(err.Error(), "itree convert") {
+				t.Fatalf("err = %v, want a refusal naming itree convert", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, data) {
+				t.Fatal("refused recovery modified the file")
+			}
+		})
 	}
 }

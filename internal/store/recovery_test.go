@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"incentivetree/internal/journal"
 )
 
 // rewardsBytes fetches the raw /v1/rewards body of one campaign — the
@@ -144,15 +146,11 @@ func TestKillRestartEquivalence(t *testing.T) {
 
 	// Hard crash: tear beta's journal tail mid-append.
 	betaLog := filepath.Join(dir, "campaigns", "beta", "journal.log")
-	f, err := os.OpenFile(betaLog, os.O_WRONLY|os.O_APPEND, 0o644)
+	intact, err := os.ReadFile(betaLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := `{"seq":99999,"kind":"contrib`
-	if _, err := f.WriteString(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendTornRecord(t, betaLog, journal.Event{Seq: seqs["beta"] + 1, Kind: journal.KindContribute, Name: "beta-w0-0", Amount: 1})
 
 	// Recover into a second store over the same directory.
 	st2, err := Open(cfg)
@@ -180,8 +178,8 @@ func TestKillRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "99999") {
-		t.Fatalf("torn tail survived recovery: %q", data)
+	if !bytes.Equal(data, intact) {
+		t.Fatalf("torn tail survived recovery: %d bytes, want %d", len(data), len(intact))
 	}
 	for id := range campaigns {
 		if err := postJSON(h2, "/v1/campaigns/"+id+"/join", `{"name":"post-crash"}`); err != nil {
@@ -253,7 +251,6 @@ func TestCheckpointCompactsJournal(t *testing.T) {
 func TestRecoveryGapDetection(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.Format = "json" // the doctoring below splices line-based records
 	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +281,11 @@ func TestRecoveryGapDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("journal too short to doctor: %q", data)
+	d := journal.NewDecoder(bytes.NewReader(data))
+	if e, err := d.Next(); err != nil || e.Seq != 4 {
+		t.Fatalf("journal's first record = %+v, %v; want seq 4", e, err)
 	}
-	if err := os.WriteFile(logPath, []byte(strings.Join(lines[1:], "")), 0o644); err != nil {
+	if err := os.WriteFile(logPath, data[d.Offset():], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -42,87 +41,78 @@ func ledgerBytes(t *testing.T, h http.Handler, id, name string) []byte {
 // TestSettleSurvivesStoreRecovery settles and claims across a
 // checkpoint, crashes the store with a torn journal tail, and requires
 // the recovered ledger — one epoch from the snapshot, one from the
-// journal suffix — to be byte-identical, in both on-disk formats. The
-// recovered claim must stay claimed: a retry answers 409 and credits
-// nothing.
+// journal suffix — to be byte-identical. The recovered claim must stay
+// claimed: a retry answers 409 and credits nothing.
 func TestSettleSurvivesStoreRecovery(t *testing.T) {
-	for _, format := range []string{"binary", "json"} {
-		t.Run(format, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := testConfig(dir)
-			cfg.Format = format
-			st, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// No Close: this store "crashes" below.
-			h := st.Handler()
-			if _, err := st.Create(Meta{ID: "pay", Mechanism: "geometric"}); err != nil {
-				t.Fatal(err)
-			}
-			workload(t, h, "pay", 2, 5)
+	// The store keeps binary journals and snapshots only; the subtest
+	// names the on-disk format under test.
+	t.Run("binary", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := testConfig(dir)
+		st, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No Close: this store "crashes" below.
+		h := st.Handler()
+		if _, err := st.Create(Meta{ID: "pay", Mechanism: "geometric"}); err != nil {
+			t.Fatal(err)
+		}
+		workload(t, h, "pay", 2, 5)
 
-			if code := do(t, h, "POST", "/v1/campaigns/pay/epochs/settle", "", nil); code != http.StatusOK {
-				t.Fatalf("settle = %d", code)
-			}
-			if err := postJSON(h, "/v1/campaigns/pay/claims", `{"name":"pay-w0-0","epoch":1}`); err != nil {
-				t.Fatal(err)
-			}
-			// Checkpoint: epoch 1 and its claim now live only in the snapshot.
-			c, _ := st.Get("pay")
-			if _, err := st.Checkpoint(c); err != nil {
-				t.Fatal(err)
-			}
-			// Epoch 2 and its claim live only in the journal suffix.
-			if err := postJSON(h, "/v1/campaigns/pay/contribute", `{"name":"pay-w1-0","amount":2.75}`); err != nil {
-				t.Fatal(err)
-			}
-			if code := do(t, h, "POST", "/v1/campaigns/pay/epochs/settle", "", nil); code != http.StatusOK {
-				t.Fatalf("second settle = %d", code)
-			}
-			if err := postJSON(h, "/v1/campaigns/pay/claims", `{"name":"pay-w1-0","epoch":2}`); err != nil {
-				t.Fatal(err)
-			}
+		if code := do(t, h, "POST", "/v1/campaigns/pay/epochs/settle", "", nil); code != http.StatusOK {
+			t.Fatalf("settle = %d", code)
+		}
+		if err := postJSON(h, "/v1/campaigns/pay/claims", `{"name":"pay-w0-0","epoch":1}`); err != nil {
+			t.Fatal(err)
+		}
+		// Checkpoint: epoch 1 and its claim now live only in the snapshot.
+		c, _ := st.Get("pay")
+		if _, err := st.Checkpoint(c); err != nil {
+			t.Fatal(err)
+		}
+		// Epoch 2 and its claim live only in the journal suffix.
+		if err := postJSON(h, "/v1/campaigns/pay/contribute", `{"name":"pay-w1-0","amount":2.75}`); err != nil {
+			t.Fatal(err)
+		}
+		if code := do(t, h, "POST", "/v1/campaigns/pay/epochs/settle", "", nil); code != http.StatusOK {
+			t.Fatalf("second settle = %d", code)
+		}
+		if err := postJSON(h, "/v1/campaigns/pay/claims", `{"name":"pay-w1-0","epoch":2}`); err != nil {
+			t.Fatal(err)
+		}
 
-			pre := ledgerBytes(t, h, "pay", "pay-w0-0")
-			seq := c.Server().LastSeq()
+		pre := ledgerBytes(t, h, "pay", "pay-w0-0")
+		seq := c.Server().LastSeq()
 
-			// Hard crash mid-append.
-			logPath := filepath.Join(dir, "campaigns", "pay", "journal.log")
-			f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteString(`{"seq":99999,"kind":"cla`); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+		// Hard crash mid-append of a claim.
+		appendTornRecord(t, filepath.Join(dir, "campaigns", "pay", "journal.log"),
+			journal.Event{Seq: seq + 1, Kind: journal.KindClaim, Name: "pay-w0-0", Epoch: 2, Amount: 0.5})
 
-			st2 := openStore(t, cfg)
-			h2 := st2.Handler()
-			if post := ledgerBytes(t, h2, "pay", "pay-w0-0"); !bytes.Equal(pre, post) {
-				t.Errorf("recovered ledger differs from pre-crash\npre:  %s\npost: %s", pre, post)
+		st2 := openStore(t, cfg)
+		h2 := st2.Handler()
+		if post := ledgerBytes(t, h2, "pay", "pay-w0-0"); !bytes.Equal(pre, post) {
+			t.Errorf("recovered ledger differs from pre-crash\npre:  %s\npost: %s", pre, post)
+		}
+		c2, _ := st2.Get("pay")
+		if got := c2.Server().LastSeq(); got != seq {
+			t.Errorf("recovered lastSeq = %d, want %d", got, seq)
+		}
+		// The replayed claims stay claimed: retries are conflicts, not
+		// double credits.
+		for _, body := range []string{
+			`{"name":"pay-w0-0","epoch":1}`,
+			`{"name":"pay-w1-0","epoch":2}`,
+		} {
+			if code := do(t, h2, "POST", "/v1/campaigns/pay/claims", body, nil); code != http.StatusConflict {
+				t.Errorf("re-claim %s = %d, want 409", body, code)
 			}
-			c2, _ := st2.Get("pay")
-			if got := c2.Server().LastSeq(); got != seq {
-				t.Errorf("recovered lastSeq = %d, want %d", got, seq)
-			}
-			// The replayed claims stay claimed: retries are conflicts, not
-			// double credits.
-			for _, body := range []string{
-				`{"name":"pay-w0-0","epoch":1}`,
-				`{"name":"pay-w1-0","epoch":2}`,
-			} {
-				if code := do(t, h2, "POST", "/v1/campaigns/pay/claims", body, nil); code != http.StatusConflict {
-					t.Errorf("re-claim %s = %d, want 409", body, code)
-				}
-			}
-			// And the ledger surface is still what it was before the retries.
-			if post := ledgerBytes(t, h2, "pay", "pay-w0-0"); !bytes.Equal(pre, post) {
-				t.Error("rejected re-claims changed the ledger")
-			}
-		})
-	}
+		}
+		// And the ledger surface is still what it was before the retries.
+		if post := ledgerBytes(t, h2, "pay", "pay-w0-0"); !bytes.Equal(pre, post) {
+			t.Error("rejected re-claims changed the ledger")
+		}
+	})
 }
 
 // TestClaimReplayIdempotentAfterCrash simulates the exact kill -9
@@ -167,7 +157,7 @@ func TestClaimReplayIdempotentAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw := journal.NewWriterMode(fw, lastSeq+1, journal.ModeBinary)
+	jw := journal.NewWriter(fw, lastSeq+1)
 	if _, err := jw.Append(journal.Event{Kind: journal.KindClaim, Name: "a", Epoch: 1, Amount: detail.Rewards[0].Amount}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@
 // # Data directory layout
 //
 //	<data-dir>/campaigns/<id>/meta.json      campaign config (mechanism, params)
-//	<data-dir>/campaigns/<id>/snapshot.bin   last durable checkpoint (binary;
-//	                                         snapshot.json under Format "json")
-//	<data-dir>/campaigns/<id>/journal.log    events after the checkpoint
+//	<data-dir>/campaigns/<id>/snapshot.bin   last durable checkpoint (binary)
+//	<data-dir>/campaigns/<id>/journal.log    binary records after the checkpoint
 //
 // # Durability contract
 //
@@ -21,9 +20,11 @@
 // rename) and then compacts the journal down to the events the snapshot
 // does not cover, so recovery cost is O(snapshot + suffix) instead of
 // O(all events ever). Recovery rebuilds each campaign from snapshot +
-// journal suffix — either snapshot file, either journal record format,
-// in any mixture, regardless of Config.Format — tolerating a torn final
-// journal record (crash mid-append) by truncating it away.
+// journal suffix, tolerating a torn final journal record (crash
+// mid-append) by truncating it away. Files from releases that wrote
+// JSON to disk (a snapshot.json, or JSON lines in journal.log) fail
+// recovery with an error naming `itree convert`, the migrator; they
+// are never truncated or skipped.
 package store
 
 import (
@@ -77,15 +78,6 @@ type Config struct {
 	// exceeds this many bytes. Zero means DefaultCheckpointBytes;
 	// negative disables the size trigger.
 	CheckpointBytes int64
-	// Format selects the on-disk wire format for campaign journals and
-	// checkpoint snapshots: "binary" (length-prefixed CRC-checked
-	// records + flat-array snapshots, the default) or "json" (one JSON
-	// object per journal line, JSON snapshots — the debug/export
-	// format, and the only format older deployments wrote). Recovery
-	// reads either format regardless of this setting; the knob only
-	// governs what new bytes look like, so flipping it migrates a data
-	// directory in place.
-	Format string
 	// Sync is the journal sync policy for campaign journals (see
 	// journal.SyncPolicy). Empty means journal.SyncOS, the historical
 	// behavior.
@@ -136,11 +128,6 @@ type Config struct {
 	// "default" campaign (empty mechanism name means "tdrm").
 	DefaultMechanism string
 	DefaultParams    core.Params
-	// DefaultServer, when set, is adopted as the "default" campaign
-	// instead of creating one. Its persistence (if any) is managed by
-	// the caller, not the store — cmd/itreed uses this to keep the
-	// legacy flat-file -journal mode byte-compatible.
-	DefaultServer *server.Server
 	// Follower marks the store as a replication follower: campaigns are
 	// installed by a replica.Manager (Adopt/Drop) rather than created
 	// locally, no default campaign is provisioned, and DataDir must be
@@ -166,7 +153,7 @@ type Campaign struct {
 	srv     *server.Server
 	handler http.Handler        // cached srv.Handler()
 	dir     string              // "" = ephemeral
-	fw      *journal.FileWriter // nil = ephemeral or caller-managed
+	fw      *journal.FileWriter // nil = ephemeral
 	auditor *audit.Auditor      // nil = audit service disabled
 
 	// cpMu serializes checkpoints of this campaign.
@@ -235,7 +222,6 @@ type Store struct {
 	cfg    Config
 	shards []shard
 	mask   uint32
-	mode   journal.Mode // parsed cfg.Format
 
 	// checkpoint instrumentation (nil-safe wrappers when cfg.Metrics is
 	// unset).
@@ -255,20 +241,15 @@ type Store struct {
 
 // Open builds a store from cfg and, when cfg.DataDir is set, recovers
 // every campaign found on disk (snapshot + journal suffix, tolerating
-// torn tails). The "default" campaign is created (or adopted from
-// cfg.DefaultServer) if it does not exist yet. Call Run to start the
-// background checkpointer and Close to flush and release journals.
+// torn tails). The "default" campaign is created if it does not exist
+// yet. Call Run to start the background checkpointer and Close to
+// flush and release journals.
 func Open(cfg Config) (*Store, error) {
-	if cfg.NewMechanism == nil && cfg.DefaultServer == nil {
+	if cfg.NewMechanism == nil {
 		return nil, errors.New("store: Config.NewMechanism is required")
 	}
-	if cfg.Follower {
-		if cfg.DataDir != "" {
-			return nil, errors.New("store: a follower store cannot have a DataDir (state is replicated, not persisted)")
-		}
-		if cfg.DefaultServer != nil {
-			return nil, errors.New("store: a follower store cannot adopt a DefaultServer")
-		}
+	if cfg.Follower && cfg.DataDir != "" {
+		return nil, errors.New("store: a follower store cannot have a DataDir (state is replicated, not persisted)")
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -289,15 +270,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.DefaultParams == (core.Params{}) {
 		cfg.DefaultParams = core.DefaultParams()
 	}
-	mode := journal.ModeBinary
-	if cfg.Format != "" {
-		var err error
-		if mode, err = journal.ParseMode(cfg.Format); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
 	st := &Store{
-		mode:   mode,
 		cfg:    cfg,
 		shards: make([]shard, n),
 		mask:   uint32(n - 1),
@@ -333,18 +306,7 @@ func Open(cfg Config) (*Store, error) {
 		// Campaigns arrive via Adopt once the replica.Manager syncs.
 		return st, nil
 	}
-	if cfg.DefaultServer != nil {
-		if _, ok := st.Get(DefaultID); ok {
-			return nil, fmt.Errorf("store: %s campaign exists on disk and a DefaultServer was supplied", DefaultID)
-		}
-		c := &Campaign{
-			Meta: Meta{ID: DefaultID, Mechanism: cfg.DefaultMechanism, Params: cfg.DefaultParams},
-			srv:  cfg.DefaultServer,
-		}
-		c.handler = c.srv.Handler()
-		st.put(c)
-		st.attachAudit(c)
-	} else if _, ok := st.Get(DefaultID); !ok {
+	if _, ok := st.Get(DefaultID); !ok {
 		if _, err := st.Create(Meta{ID: DefaultID, Mechanism: cfg.DefaultMechanism, Params: cfg.DefaultParams}); err != nil {
 			return nil, fmt.Errorf("store: default campaign: %w", err)
 		}
@@ -464,9 +426,6 @@ func (st *Store) Create(meta Meta) (*Campaign, error) {
 
 // newMechanism builds (and validates) the campaign's mechanism.
 func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
-	if st.cfg.NewMechanism == nil {
-		return nil, errors.New("store: no mechanism factory configured")
-	}
 	mech, err := st.cfg.NewMechanism(meta.Mechanism, meta.Params)
 	if err != nil {
 		return nil, fmt.Errorf("store: campaign %q: %w", meta.ID, err)
@@ -479,7 +438,7 @@ func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
 func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	var opts []server.Option
 	if c.fw != nil {
-		opts = append(opts, server.WithJournal(journal.NewWriterMode(c.fw, nextSeq, st.mode)))
+		opts = append(opts, server.WithJournal(journal.NewWriter(c.fw, nextSeq)))
 	}
 	if st.cfg.Metrics != nil {
 		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", c.Meta.ID))

@@ -221,13 +221,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.add(x)
 		switch x.Tok {
 		case token.BREAK:
-			if t := b.frame(x.Label); t != nil {
+			if t := b.frame(x.Label, false); t != nil {
 				b.edge(b.cur, t.breakTo)
 			} else {
 				b.edge(b.cur, b.cfg.Exit)
 			}
 		case token.CONTINUE:
-			if t := b.frame(x.Label); t != nil && t.continueTo != nil {
+			if t := b.frame(x.Label, true); t != nil && t.continueTo != nil {
 				b.edge(b.cur, t.continueTo)
 			} else {
 				b.edge(b.cur, b.cfg.Exit)
@@ -305,18 +305,19 @@ func (b *cfgBuilder) switchStmt(init ast.Stmt, tag ast.Node, body *ast.BlockStmt
 	b.cur = join
 }
 
-// frame resolves a break/continue target: the innermost frame, or the
-// labeled one.
-func (b *cfgBuilder) frame(label *ast.Ident) *loopFrame {
-	if len(b.frames) == 0 {
-		return nil
-	}
-	if label == nil {
-		return &b.frames[len(b.frames)-1]
-	}
+// frame resolves a break/continue target: the labeled frame, or else
+// the innermost one the branch can target. A switch or select frame
+// takes an unlabeled break but not a continue, which belongs to the
+// innermost enclosing loop.
+func (b *cfgBuilder) frame(label *ast.Ident, isContinue bool) *loopFrame {
 	for i := len(b.frames) - 1; i >= 0; i-- {
-		if b.frames[i].label == label.Name {
-			return &b.frames[i]
+		f := &b.frames[i]
+		if label != nil {
+			if f.label == label.Name {
+				return f
+			}
+		} else if !isContinue || f.continueTo != nil {
+			return f
 		}
 	}
 	return nil
