@@ -23,7 +23,6 @@ import (
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
@@ -234,45 +233,6 @@ func BenchmarkGrowthSimulation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIncrementalVsFull contrasts O(depth) incremental reward
-// maintenance with O(n) full re-evaluation on a growing campaign — the
-// ablation for the live-service write path.
-func BenchmarkIncrementalVsFull(b *testing.B) {
-	p := core.DefaultParams()
-	geo, err := geometric.Default(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const joins = 2000
-	workload := func(b *testing.B, e incremental.Engine) {
-		b.Helper()
-		rng := rand.New(rand.NewSource(9))
-		for i := 0; i < joins; i++ {
-			parent := tree.NodeID(rng.Intn(e.Tree().Len()))
-			if _, err := e.Join(parent, rng.Float64()*3); err != nil {
-				b.Fatal(err)
-			}
-			_ = e.Reward(tree.NodeID(1 + rng.Intn(e.Tree().NumParticipants())))
-		}
-	}
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			workload(b, incremental.NewGeometric(geo))
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e, err := incremental.NewFull(geo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			workload(b, e)
-		}
-	})
 }
 
 // BenchmarkInstrumentedRewards measures the observability tax on the

@@ -57,8 +57,7 @@
 //
 // Beyond the API, the daemon serves GET /metrics (Prometheus text
 // exposition: per-route latency histograms, journal counters,
-// incremental-engine counters, per-campaign domain gauges, and store
-// checkpoint counters). With -debug-addr set, net/http/pprof and expvar
+// per-campaign domain gauges, and store checkpoint counters). With -debug-addr set, net/http/pprof and expvar
 // are served on a separate listener so profiling endpoints are never
 // exposed on the public address.
 //

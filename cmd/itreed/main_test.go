@@ -250,8 +250,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := buf.String()
 	// The acceptance surface: per-route latency histograms, journal
-	// counters, incremental-engine counters, and the budget gauge. The
-	// registry is process-wide, so assert presence, not exact counts.
+	// counters, and the budget gauge. The registry is process-wide, so
+	// assert presence, not exact counts.
 	for _, want := range []string{
 		`itree_http_requests_total{code="2xx",route="POST /v1/join"}`,
 		`itree_http_requests_total{code="4xx",route="POST /v1/contribute"}`,
@@ -260,7 +260,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"itree_journal_appends_total",
 		"itree_journal_append_bytes_total",
 		"itree_journal_torn_tails_total",
-		"# TYPE itree_incremental_ops_total counter",
 		`itree_participants{campaign="default"} 1`,
 		"itree_budget_utilization",
 		`itree_contribution_total{campaign="default"} 2`,

@@ -183,21 +183,27 @@ func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// RewardsInto implements core.IntoMechanism with zero allocations: buf
-// first holds the subtree sums, then is rewritten in place in id order
-// (entry u only reads sums[u], which is still intact when u is reached).
+// RewardsInto implements core.IntoMechanism with zero allocations,
+// through the local form.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	sums := t.SubtreeSumsInto([]float64(buf))
-	r := core.Rewards(sums)
-	for id := 1; id < t.Len(); id++ {
-		u := tree.NodeID(id)
-		x := t.Contribution(u)
-		y := sums[u] - x
-		r[u] = m.fn.Eval(x, y)
-	}
-	r[tree.Root] = 0
-	return r, nil
+	return core.EvalLocal(m, t, buf)
 }
+
+// Local implements core.Mechanism: the mechanism is its own local form,
+// with A(u) = C(T_u), so y_u = A(u) - C(u).
+func (m *Mechanism) Local() core.Local { return m }
+
+// Start implements core.Local: C(u), then the children's C(T_k).
+func (m *Mechanism) Start(t *tree.Tree, u tree.NodeID) float64 { return t.Contribution(u) }
+
+// Term implements core.Local: C(T_k).
+func (m *Mechanism) Term(_ *tree.Tree, agg []float64, k tree.NodeID) float64 { return agg[k] }
+
+// Reward implements core.Local: R(x_u, y_u).
+func (m *Mechanism) Reward(t *tree.Tree, agg []float64, u tree.NodeID, _ float64) float64 {
+	x := t.Contribution(u)
+	return m.fn.Eval(x, agg[u]-x)
+}
+
+// UsesTotal implements core.Local.
+func (m *Mechanism) UsesTotal() bool { return false }

@@ -76,6 +76,94 @@ type Mechanism interface {
 	Params() Params
 	// Rewards computes R(u) for every node of t.
 	Rewards(t *tree.Tree) (Rewards, error)
+	// Local returns the mechanism's local form, or nil when it has
+	// none. A server keeps rewards current through it (see Local).
+	Local() Local
+}
+
+// Local is the local form of a mechanism. Every reward the paper
+// defines is a bottom-up recursion over the referral tree: each node u
+// carries one aggregate A(u), folded from C(u) and the aggregates of
+// u's children, and R(u) is a per-node formula over A(u). A write at v
+// changes only the aggregates on v's root path, so a server that keeps
+// A(u) for every node re-folds those paths and serves any R(u) without
+// evaluating the whole tree.
+//
+// The fold is Start(u) plus Term(k) of every child k, added in
+// descending id order. Fold and FoldAll add exactly those values in
+// exactly that order — one node at a time, or in one bottom-up pass —
+// so their aggregates agree bit for bit. A mechanism with a local form
+// computes Rewards with EvalLocal, so a reward read from maintained
+// aggregates equals Rewards bit for bit.
+type Local interface {
+	// Start returns the value A(u) starts from before any child's term
+	// is added: C(u), or 0 when C(u) enters only through the terms and
+	// the reward.
+	Start(t *tree.Tree, u tree.NodeID) float64
+	// Term returns what child k adds to its parent's aggregate. It reads
+	// agg only at k.
+	Term(t *tree.Tree, agg []float64, k tree.NodeID) float64
+	// Reward returns R(u) for a participant u. It reads agg only at u
+	// and u's children; total is C(T) as t.Total sums it, and is read
+	// only when UsesTotal reports true.
+	Reward(t *tree.Tree, agg []float64, u tree.NodeID, total float64) float64
+	// UsesTotal reports whether Reward reads total.
+	UsesTotal() bool
+}
+
+// Fold returns A(u) from the current aggregates of u's children,
+// visiting them in descending id order (LastChild, then PrevSibling).
+func Fold(l Local, t *tree.Tree, agg []float64, u tree.NodeID) float64 {
+	a := l.Start(t, u)
+	for k := t.LastChild(u); k != tree.None; k = t.PrevSibling(k) {
+		a += l.Term(t, agg, k)
+	}
+	return a
+}
+
+// FoldAll computes A(u) for every participant of t into buf (reusing
+// its backing array when capacity allows). It starts every aggregate,
+// then scans ids in descending order, adding each node's term to its
+// parent: ids are topological, so a node's aggregate is final when the
+// scan reaches it, and each parent receives its children's terms in
+// descending id order, as Fold adds them. The imaginary root is never
+// folded; its entry is zero.
+func FoldAll(l Local, t *tree.Tree, buf []float64) []float64 {
+	n := t.Len()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	agg := buf[:n]
+	for id := 1; id < n; id++ {
+		agg[id] = l.Start(t, tree.NodeID(id))
+	}
+	parents := t.Parents()
+	for id := n - 1; id >= 1; id-- {
+		if p := parents[id]; p != tree.Root {
+			agg[p] += l.Term(t, agg, tree.NodeID(id))
+		}
+	}
+	agg[tree.Root] = 0
+	return agg
+}
+
+// EvalLocal is the RewardsInto of a mechanism with local form l: it
+// folds every aggregate into buf, then overwrites each entry with R(u)
+// in ascending id order. R(u) reads only its own aggregate and its
+// children's, whose ids are larger and therefore still intact.
+func EvalLocal(l Local, t *tree.Tree, buf Rewards) (Rewards, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	r := Rewards(FoldAll(l, t, buf))
+	total := 0.0
+	if l.UsesTotal() {
+		total = t.Total()
+	}
+	for id := 1; id < len(r); id++ {
+		r[id] = l.Reward(t, r, tree.NodeID(id), total)
+	}
+	return r, nil
 }
 
 // IntoMechanism is the optional allocation-free fast path of a Mechanism:

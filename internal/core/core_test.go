@@ -16,6 +16,7 @@ type fixedMechanism struct {
 
 func (f fixedMechanism) Name() string   { return "fixed" }
 func (f fixedMechanism) Params() Params { return f.params }
+func (f fixedMechanism) Local() Local   { return nil }
 func (f fixedMechanism) Rewards(*tree.Tree) (Rewards, error) {
 	return f.rewards, nil
 }

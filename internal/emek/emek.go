@@ -64,6 +64,11 @@ func (m *Mechanism) Name() string {
 // Params implements core.Mechanism.
 func (m *Mechanism) Params() core.Params { return m.params }
 
+// Local implements core.Mechanism. The deepest binary subtree is chosen
+// globally, so the mechanism has no local form (and itreed does not
+// serve it).
+func (m *Mechanism) Local() core.Local { return nil }
+
 // BinaryChildren returns, for every node, the at-most-two children kept
 // in the deepest binary subtree: the children rooting the tallest binary
 // subtrees (ties broken by join order). Exported for tests and for the

@@ -26,9 +26,9 @@ const sampleEvery = 8
 //	                                      _count trails the total)
 //
 // The serving daemon wraps its configured mechanism with this before
-// building the server, which makes the per-mechanism compute shape
-// (O(depth) incremental candidates vs. full-tree TDRM/L-Pachira
-// evaluation) visible on /metrics.
+// building the server. The server keeps rewards current through the
+// local form, which the wrapper forwards uncounted, so these series see
+// only full evaluations: the audit service's probes.
 func Instrumented(m core.Mechanism, reg *obs.Registry) core.Mechanism {
 	return &timedMechanism{
 		inner: m,
@@ -51,6 +51,7 @@ type timedMechanism struct {
 
 func (t *timedMechanism) Name() string        { return t.inner.Name() }
 func (t *timedMechanism) Params() core.Params { return t.inner.Params() }
+func (t *timedMechanism) Local() core.Local   { return t.inner.Local() }
 
 func (t *timedMechanism) Rewards(tr *tree.Tree) (core.Rewards, error) {
 	// The pre-increment count doubles as the sampling phase: the first

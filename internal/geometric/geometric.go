@@ -73,23 +73,30 @@ func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// RewardsInto implements core.IntoMechanism with zero allocations: the
-// weighted subtree sums are accumulated directly in buf, then scaled by b
-// in place (each entry depends only on itself once its subtree is
-// folded).
+// RewardsInto implements core.IntoMechanism with zero allocations,
+// through the local form.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	s := core.ResizeRewards(buf, t.Len())
-	for id := t.Len() - 1; id >= 1; id-- {
-		u := tree.NodeID(id)
-		s[u] += t.Contribution(u)
-		s[t.Parent(u)] += m.a * s[u]
-	}
-	for id := 1; id < t.Len(); id++ {
-		s[id] = m.b * s[id]
-	}
-	s[tree.Root] = 0
-	return s, nil
+	return core.EvalLocal(m, t, buf)
 }
+
+// Local implements core.Mechanism: the mechanism is its own local form,
+// with A(u) = a * sum_{child k} S(k), so that S(u) = A(u) + C(u). C(u)
+// is added after the children's terms, as the bottom-up pass always
+// has.
+func (m *Mechanism) Local() core.Local { return m }
+
+// Start implements core.Local.
+func (m *Mechanism) Start(*tree.Tree, tree.NodeID) float64 { return 0 }
+
+// Term implements core.Local: a * S(k).
+func (m *Mechanism) Term(t *tree.Tree, agg []float64, k tree.NodeID) float64 {
+	return m.a * (agg[k] + t.Contribution(k))
+}
+
+// Reward implements core.Local: R(u) = b * S(u).
+func (m *Mechanism) Reward(t *tree.Tree, agg []float64, u tree.NodeID, _ float64) float64 {
+	return m.b * (agg[u] + t.Contribution(u))
+}
+
+// UsesTotal implements core.Local.
+func (m *Mechanism) UsesTotal() bool { return false }

@@ -48,30 +48,15 @@ func (s Shares) Total() float64 {
 	return t
 }
 
-// Mechanism is a fixed-total-reward (Lottery Tree) mechanism.
+// Mechanism is a fixed-total-reward (Lottery Tree) mechanism. Its local
+// form (core.Local) rewards each participant with its share of the
+// normalized prize: Shares evaluates that form over the whole tree, and
+// the lifted mechanism scales it by Phi * C(T), so Shares, the lifted
+// Rewards and a server's maintained aggregates all run the same steps.
 type Mechanism interface {
+	core.Local
 	Name() string
 	Shares(t *tree.Tree) (Shares, error)
-}
-
-// sharesInto is the optional allocation-free fast path of a lottery
-// mechanism, mirroring core.IntoMechanism: compute the same shares as
-// Shares, writing into buf when capacity allows.
-type sharesInto interface {
-	SharesInto(t *tree.Tree, buf Shares) (Shares, error)
-}
-
-// resizeShares returns buf resized to n zeroed entries, reusing its
-// backing array when capacity allows.
-func resizeShares(buf Shares, n int) Shares {
-	if cap(buf) < n {
-		return make(Shares, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
 }
 
 // Luxor is the reconstructed Luxor mechanism: participant u's expected
@@ -103,35 +88,29 @@ func (l *Luxor) Name() string { return fmt.Sprintf("Luxor(beta=%.3g,a=%.3g)", l.
 
 // Shares implements Mechanism in O(n) via bottom-up weighted sums.
 func (l *Luxor) Shares(t *tree.Tree) (Shares, error) {
-	return l.SharesInto(t, nil)
+	r, err := core.EvalLocal(l, t, nil)
+	return Shares(r), err
 }
 
-// SharesInto is the allocation-free variant of Shares: buf first
-// accumulates the bubble sums bottom-up, then is rewritten in place in id
-// order (entry u only reads bubble[u], still intact when u is reached).
-func (l *Luxor) SharesInto(t *tree.Tree, buf Shares) (Shares, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	total := t.Total()
-	s := resizeShares(buf, t.Len())
+// Start implements core.Local: A(u) is the bubble sum
+// sum_{v in T_u \ u} a^{dep_u(v)} C(v), which excludes C(u).
+func (l *Luxor) Start(*tree.Tree, tree.NodeID) float64 { return 0 }
+
+// Term implements core.Local: a * (bubble(k) + C(k)).
+func (l *Luxor) Term(t *tree.Tree, agg []float64, k tree.NodeID) float64 {
+	return l.a * (agg[k] + t.Contribution(k))
+}
+
+// UsesTotal implements core.Local.
+func (l *Luxor) UsesTotal() bool { return true }
+
+// Reward implements core.Local: u's share.
+func (l *Luxor) Reward(t *tree.Tree, agg []float64, u tree.NodeID, total float64) float64 {
 	if total == 0 {
-		return s, nil
-	}
-	// bubble[u] = sum_{v in T_u \ u} a^{dep_u(v)} C(v)
-	bubble := s
-	for id := t.Len() - 1; id >= 1; id-- {
-		u := tree.NodeID(id)
-		p := t.Parent(u)
-		bubble[p] += l.a * (bubble[u] + t.Contribution(u))
+		return 0
 	}
 	coeff := (1 - l.beta) * (1 - l.a) / l.a
-	for id := 1; id < t.Len(); id++ {
-		u := tree.NodeID(id)
-		s[u] = (l.beta*t.Contribution(u) + coeff*bubble[u]) / total
-	}
-	s[tree.Root] = 0
-	return s, nil
+	return (l.beta*t.Contribution(u) + coeff*agg[u]) / total
 }
 
 // Pachira is the Pachira mechanism from [7]: with the concave weighting
@@ -167,40 +146,37 @@ func (p *Pachira) Pi(x float64) float64 {
 
 // Shares implements Mechanism.
 func (p *Pachira) Shares(t *tree.Tree) (Shares, error) {
-	return p.SharesInto(t, nil)
+	r, err := core.EvalLocal(p, t, nil)
+	return Shares(r), err
 }
 
-// SharesInto is the allocation-free variant of Shares. buf first holds
-// the subtree sums and is rewritten in place in id order: entry u reads
-// its own sum and those of its children, whose ids are strictly larger
-// and therefore not yet overwritten.
-func (p *Pachira) SharesInto(t *tree.Tree, buf Shares) (Shares, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	total := t.Total()
+// Start implements core.Local: A(u) is the subtree sum C(T_u), starting
+// from C(u).
+func (p *Pachira) Start(t *tree.Tree, u tree.NodeID) float64 { return t.Contribution(u) }
+
+// Term implements core.Local: C(T_k).
+func (p *Pachira) Term(_ *tree.Tree, agg []float64, k tree.NodeID) float64 { return agg[k] }
+
+// UsesTotal implements core.Local.
+func (p *Pachira) UsesTotal() bool { return true }
+
+// Reward implements core.Local: u's share.
+func (p *Pachira) Reward(t *tree.Tree, agg []float64, u tree.NodeID, total float64) float64 {
 	if total == 0 {
-		return resizeShares(buf, t.Len()), nil
+		return 0
 	}
-	sums := t.SubtreeSumsInto([]float64(buf))
-	s := Shares(sums)
-	for id := 1; id < t.Len(); id++ {
-		u := tree.NodeID(id)
-		share := p.Pi(sums[u] / total)
-		// Sibling-chain order is join order, keeping the float
-		// subtraction sequence — and thus the bytes — unchanged.
-		for q := t.FirstChild(u); q != tree.None; q = t.NextSibling(q) {
-			share -= p.Pi(sums[q] / total)
-		}
-		if share < 0 {
-			// Guard against float noise; pi's superadditivity on [0,1]
-			// makes the exact value non-negative.
-			share = 0
-		}
-		s[u] = share
+	share := p.Pi(agg[u] / total)
+	// Sibling-chain order is join order, keeping the float subtraction
+	// sequence — and thus the bytes — unchanged.
+	for q := t.FirstChild(u); q != tree.None; q = t.NextSibling(q) {
+		share -= p.Pi(agg[q] / total)
 	}
-	s[tree.Root] = 0
-	return s, nil
+	if share < 0 {
+		// Guard against float noise; pi's superadditivity on [0,1]
+		// makes the exact value non-negative.
+		share = 0
+	}
+	return share
 }
 
 // Lifted adapts a fixed-reward mechanism to the Incentive Tree model
@@ -208,6 +184,7 @@ func (p *Pachira) SharesInto(t *tree.Tree, buf Shares) (Shares, error) {
 type Lifted struct {
 	inner  Mechanism
 	params core.Params
+	local  *liftedForm
 }
 
 // Lift wraps a lottery mechanism. Fairness-specific parameter regimes are
@@ -216,7 +193,7 @@ func Lift(inner Mechanism, p core.Params) (*Lifted, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Lifted{inner: inner, params: p}, nil
+	return &Lifted{inner: inner, params: p, local: &liftedForm{inner, p.Phi}}, nil
 }
 
 // NewLPachira builds the (beta, delta)-L-Pachira mechanism of Theorem 2,
@@ -261,35 +238,27 @@ func (l *Lifted) Params() core.Params { return l.params }
 
 // Rewards implements core.Mechanism.
 func (l *Lifted) Rewards(t *tree.Tree) (core.Rewards, error) {
-	shares, err := l.inner.Shares(t)
-	if err != nil {
-		return nil, err
-	}
-	scale := l.params.Phi * t.Total()
-	r := make(core.Rewards, len(shares))
-	for i, s := range shares {
-		r[i] = scale * s
-	}
-	return r, nil
+	return l.RewardsInto(t, nil)
 }
 
-// RewardsInto implements core.IntoMechanism when the inner lottery
-// mechanism exposes a SharesInto fast path (both Luxor and Pachira do):
-// the shares are computed into buf and scaled in place. Inner mechanisms
-// without the fast path fall back to the allocating Rewards.
+// RewardsInto implements core.IntoMechanism through the local form.
 func (l *Lifted) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
-	si, ok := l.inner.(sharesInto)
-	if !ok {
-		return l.Rewards(t)
-	}
-	shares, err := si.SharesInto(t, Shares(buf))
-	if err != nil {
-		return nil, err
-	}
-	scale := l.params.Phi * t.Total()
-	r := core.Rewards(shares)
-	for i, s := range shares {
-		r[i] = scale * s
-	}
-	return r, nil
+	return core.EvalLocal(l.local, t, buf)
 }
+
+// Local implements core.Mechanism: R(u) = Phi * C(T) * share(u) over the
+// inner mechanism's aggregates.
+func (l *Lifted) Local() core.Local { return l.local }
+
+// liftedForm is the local form of a lifted lottery mechanism: the inner
+// mechanism's aggregates, with its shares scaled by Phi * C(T).
+type liftedForm struct {
+	core.Local
+	phi float64
+}
+
+func (f liftedForm) Reward(t *tree.Tree, agg []float64, u tree.NodeID, total float64) float64 {
+	return f.phi * total * f.Local.Reward(t, agg, u, total)
+}
+
+func (liftedForm) UsesTotal() bool { return true }

@@ -13,9 +13,9 @@
 //     the registry map is only consulted at registration time.
 //  3. Scrape-friendly — Registry.WritePrometheus emits the text
 //     exposition format, and Registry.Snapshot returns the same data
-//     structured for JSON APIs like the daemon's /v1/stats.
+//     structured for programmatic checks.
 //
-// Library packages (journal, incremental) record into the process-wide
+// Library packages (journal) record into the process-wide
 // Default registry; the HTTP server takes an explicit *Registry so
 // tests can isolate their recordings.
 package obs
@@ -68,8 +68,8 @@ func (g *Gauge) Add(delta float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefLatencyBuckets are the default histogram bounds, in seconds,
-// spanning sub-microsecond incremental-engine updates up to multi-second
-// full-tree evaluations.
+// spanning sub-microsecond operations up to multi-second full-tree
+// evaluations.
 var DefLatencyBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -204,7 +204,7 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry used by library
-// instrumentation (journal appends, incremental engine ops) and served
+// instrumentation (journal appends) and served
 // by cmd/itreed's /metrics endpoint.
 func Default() *Registry { return defaultRegistry }
 

@@ -116,6 +116,7 @@ type overpayer struct{}
 
 func (overpayer) Name() string        { return "overpayer" }
 func (overpayer) Params() core.Params { return core.DefaultParams() }
+func (overpayer) Local() core.Local   { return nil }
 func (overpayer) Rewards(t *tree.Tree) (core.Rewards, error) {
 	r := make(core.Rewards, t.Len())
 	for id := 1; id < t.Len(); id++ {
@@ -129,6 +130,7 @@ type flatPayer struct{}
 
 func (flatPayer) Name() string        { return "flat" }
 func (flatPayer) Params() core.Params { return core.DefaultParams() }
+func (flatPayer) Local() core.Local   { return nil }
 func (flatPayer) Rewards(t *tree.Tree) (core.Rewards, error) {
 	r := make(core.Rewards, t.Len())
 	for id := 1; id < t.Len(); id++ {

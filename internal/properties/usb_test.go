@@ -16,6 +16,7 @@ type depthPayer struct{}
 
 func (depthPayer) Name() string        { return "depth-payer" }
 func (depthPayer) Params() core.Params { return core.DefaultParams() }
+func (depthPayer) Local() core.Local   { return nil }
 func (depthPayer) Rewards(t *tree.Tree) (core.Rewards, error) {
 	r := make(core.Rewards, t.Len())
 	depths := t.Depths()
@@ -44,6 +45,7 @@ type slowlyLeaky struct{}
 
 func (slowlyLeaky) Name() string        { return "slowly-leaky" }
 func (slowlyLeaky) Params() core.Params { return core.DefaultParams() }
+func (slowlyLeaky) Local() core.Local   { return nil }
 func (slowlyLeaky) Rewards(t *tree.Tree) (core.Rewards, error) {
 	r := make(core.Rewards, t.Len())
 	total := t.Total()
@@ -68,6 +70,7 @@ type erroring struct{}
 
 func (erroring) Name() string        { return "erroring" }
 func (erroring) Params() core.Params { return core.DefaultParams() }
+func (erroring) Local() core.Local   { return nil }
 func (erroring) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return nil, core.ErrBadParams
 }

@@ -65,15 +65,13 @@ const (
 )
 
 // Meta is the wire form of a campaign's configuration, enough for a
-// follower to rebuild the mechanism. Incremental is carried for
-// transparency but followers force full evaluation: incremental
-// engines accumulate floats in update order, and only full evaluation
-// guarantees reward tables byte-identical to the primary's.
+// follower to rebuild the mechanism. Documents from primaries that
+// still send the retired "incremental" switch decode; the field is
+// ignored.
 type Meta struct {
-	ID          string      `json:"id"`
-	Mechanism   string      `json:"mechanism"`
-	Params      core.Params `json:"params"`
-	Incremental bool        `json:"incremental,omitempty"`
+	ID        string      `json:"id"`
+	Mechanism string      `json:"mechanism"`
+	Params    core.Params `json:"params"`
 }
 
 // SnapshotDoc is the body of GET .../replica/snapshot.

@@ -93,13 +93,16 @@ func (s *Server) handleUnquarantine(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQuarantineError maps quarantine transitions to HTTP: unknown
-// names 404, redundant transitions 409, journal failures 500.
+// names 404, redundant transitions 409, journal append failures 503 (as
+// on the batch write path), anything else 500.
 func writeQuarantineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownParticipant):
 		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
 	case errors.Is(err, ErrAlreadyQuarantined), errors.Is(err, ErrNotQuarantined):
 		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
+	case errors.Is(err, errJournalAppend):
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 	}

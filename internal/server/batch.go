@@ -1,13 +1,15 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
-	"incentivetree/internal/incremental"
+	"incentivetree/internal/core"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
@@ -22,7 +24,8 @@ var errJournalAppend = errors.New("server: journal append")
 // pipeline (see internal/ingest): requests enqueue onto a bounded
 // queue, a committer goroutine drains them into batches, and each
 // batch applies under one lock acquisition with one journal write
-// (one fsync under journal.SyncAlways) and one reward recompute.
+// (one fsync under journal.SyncAlways) and one re-fold of the reward
+// aggregates on the root paths the batch touched.
 // A full queue sheds writes with 429 + Retry-After. When the options'
 // Registry is unset, the pipeline inherits the server's metrics
 // registry and labels. Callers owning the server's lifecycle must
@@ -67,8 +70,8 @@ func (s *Server) Contribute(name string, amount float64) error {
 
 // SubmitJoin routes a join through the ingest pipeline when one is
 // attached — blocking until its batch commits — and applies it as a
-// direct batch of one otherwise. The returned view is built from the
-// batch's single reward recompute.
+// direct batch of one otherwise. The returned view is the committed
+// state's.
 func (s *Server) SubmitJoin(ctx context.Context, name, sponsor string) (Participant, error) {
 	return s.submit(ctx, ingest.Op{Kind: ingest.OpJoin, Name: name, Sponsor: sponsor})
 }
@@ -94,40 +97,25 @@ func (s *Server) submit(ctx context.Context, op ingest.Op) (Participant, error) 
 }
 
 // ApplyBatch implements ingest.Applier: the whole batch applies under
-// one write-lock acquisition, journals with a single write, and pays
-// one reward recompute to build every success's post-commit view.
-// Per-op validation errors are reported individually and never fail
-// the rest of the batch.
+// one write-lock acquisition, journals with a single write, and
+// re-folds the reward aggregates once; every success's post-commit view
+// is then read from them. Per-op validation errors are reported
+// individually and never fail the rest of the batch.
 func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	errs := s.applyLocked(ops)
 	results := make([]ingest.Result, len(ops))
-	committed := false
-	for i, err := range errs {
-		if err != nil {
-			results[i].Err = err
-		} else {
-			committed = true
-		}
-	}
-	if !committed {
-		return results
-	}
-	rewards, mask, rerr := s.servedRewardsLocked()
 	for i, op := range ops {
 		if errs[i] != nil {
-			continue
-		}
-		if rerr != nil {
-			results[i].Err = rerr
+			results[i].Err = errs[i]
 			continue
 		}
 		name := op.Name
 		if op.Kind == ingest.OpJoin {
 			name = strings.TrimSpace(name)
 		}
-		results[i].Value = s.viewLocked(s.byKey[name], rewards, mask)
+		results[i].Value = s.viewLocked(s.byKey[name])
 	}
 	return results
 }
@@ -137,11 +125,13 @@ func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
 // op i's individual outcome. If the journal rejects the batch, every
 // in-memory mutation is rolled back so memory never diverges from what
 // a restart would replay, and the append error is reported on each op
-// that had applied.
+// that had applied. Only a committed batch re-folds the reward
+// aggregates, so a rolled-back one never touches them.
 func (s *Server) applyLocked(ops []ingest.Op) []error {
 	errs := make([]error, len(ops))
 	events := make([]journal.Event, 0, len(ops))
 	eventOps := make([]int, 0, len(ops))
+	touched := make([]tree.NodeID, 0, len(ops))
 	mark := s.tree.Mark()
 	var joins []string
 	var contribs []contribUndo
@@ -154,6 +144,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 				continue
 			}
 			joins = append(joins, name)
+			touched = append(touched, s.byKey[name])
 			events = append(events, journal.Event{Kind: journal.KindJoin, Name: name, Sponsor: op.Sponsor})
 			eventOps = append(eventOps, i)
 		case ingest.OpContribute:
@@ -163,6 +154,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 				continue
 			}
 			contribs = append(contribs, undo)
+			touched = append(touched, undo.id)
 			events = append(events, journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount})
 			eventOps = append(eventOps, i)
 		default:
@@ -186,6 +178,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 	} else {
 		s.lastSeq += uint64(len(events))
 	}
+	s.refoldLocked(touched)
 	s.version++
 	if s.commitHook != nil {
 		touched := make([]string, len(events))
@@ -215,13 +208,7 @@ func (s *Server) joinLocked(name, sponsor string) (string, error) {
 		}
 		parent = p
 	}
-	var id tree.NodeID
-	var err error
-	if s.engine != nil {
-		id, err = s.engine.Join(parent, 0)
-	} else {
-		id, err = s.tree.Add(parent, 0)
-	}
+	id, err := s.tree.Add(parent, 0)
 	if err != nil {
 		return "", err
 	}
@@ -255,13 +242,7 @@ func (s *Server) contributeLocked(name string, amount float64) (contribUndo, err
 		return contribUndo{}, fmt.Errorf("unknown participant %q", name)
 	}
 	undo := contribUndo{id: id, old: s.tree.Contribution(id)}
-	var err error
-	if s.engine != nil {
-		err = s.engine.AddContribution(id, amount)
-	} else {
-		err = s.tree.AddContribution(id, amount)
-	}
-	if err != nil {
+	if err := s.tree.AddContribution(id, amount); err != nil {
 		return contribUndo{}, err
 	}
 	return undo, nil
@@ -270,8 +251,7 @@ func (s *Server) contributeLocked(name string, amount float64) (contribUndo, err
 // rollbackLocked undoes an applied-but-unjournaled batch: restore
 // contribution values (reverse order, so repeated contributions to one
 // participant land back on the first-recorded value), drop the name
-// index entries of batch joins, truncate their tree nodes, and rebuild
-// the incremental engine whose derived sums in-place undo cannot reach.
+// index entries of batch joins, and truncate their tree nodes.
 func (s *Server) rollbackLocked(mark tree.Mark, joins []string, contribs []contribUndo) {
 	for i := len(contribs) - 1; i >= 0; i-- {
 		// Restoring a recorded prior value of an existing node cannot fail.
@@ -283,14 +263,30 @@ func (s *Server) rollbackLocked(mark tree.Mark, joins []string, contribs []contr
 	// The tree always holds at least the imaginary root, so the mark is
 	// valid by construction.
 	_ = s.tree.ResetTo(mark)
-	if s.engine != nil {
-		// O(n) rebuild, but this path only runs when the journal itself
-		// failed — durability is already broken and the operator is told.
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-			s.tree = e.Tree()
-		} else {
-			s.engine = nil
+}
+
+// refoldLocked brings the reward aggregates up to date with the tree
+// after the nodes in touched changed (joined, or gained contribution).
+// Only their root paths can change, so it re-folds the union of those
+// paths once, children before parents: ids are topological, so
+// descending id order puts every child ahead of its parent. Each
+// node's fold re-reads all its children, which reproduces the full
+// pass's summation order and hence its bits.
+func (s *Server) refoldLocked(touched []tree.NodeID) {
+	if n := s.tree.Len(); len(s.agg) < n {
+		s.agg = append(s.agg, make([]float64, n-len(s.agg))...)
+	}
+	var path []tree.NodeID
+	for _, u := range touched {
+		for v := u; v != tree.Root; v = s.tree.Parent(v) {
+			path = append(path, v)
 		}
+	}
+	slices.SortFunc(path, func(a, b tree.NodeID) int { return cmp.Compare(b, a) })
+	for _, v := range slices.Compact(path) {
+		s.agg[v] = core.Fold(s.local, s.tree, s.agg, v)
+	}
+	if s.local.UsesTotal() {
+		s.total = s.tree.Total()
 	}
 }

@@ -74,25 +74,26 @@ func TestContributeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// rollbackArms names the two mechanisms the journal-failure tests run
+// under, keyed by their historical subtest names: a Geometric campaign
+// and a CDRM one, so the two arms cover two different folds.
+var rollbackArms = []struct {
+	name, mechanism string
+}{
+	{"incremental=false", "geometric"},
+	{"incremental=true", "cdrm-reciprocal"},
+}
+
 // TestRollbackOnJournalFailure injects a journal write failure and
 // checks every in-memory mutation of the failed batch is undone, so
-// memory never diverges from what a restart would replay. Runs with
-// and without the incremental engine (which needs a rebuild to roll
-// back its derived sums).
+// memory never diverges from what a restart would replay, and the
+// served rewards still equal full evaluation bit for bit.
 func TestRollbackOnJournalFailure(t *testing.T) {
-	for _, useEngine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", useEngine), func(t *testing.T) {
-			m, err := geometric.Default(core.DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, arm := range rollbackArms {
+		t.Run(arm.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			fw := &failWriter{w: &buf}
-			opts := []Option{WithJournal(journal.NewWriter(fw, 1))}
-			if useEngine {
-				opts = append(opts, WithIncremental())
-			}
-			s := New(m, opts...)
+			s := New(suiteMechanism(t, arm.mechanism), WithJournal(journal.NewWriter(fw, 1)))
 			if err := s.Join("alice", ""); err != nil {
 				t.Fatal(err)
 			}
@@ -135,6 +136,7 @@ func TestRollbackOnJournalFailure(t *testing.T) {
 			if p, _ := s.participant("alice"); p.Contribution != 2 {
 				t.Fatalf("alice contribution after rolled-back batch = %v, want 2", p.Contribution)
 			}
+			assertServedMatches(t, s)
 
 			// The deployment heals once the disk does, and the journal
 			// replays to exactly the in-memory state.
@@ -160,6 +162,7 @@ func TestRollbackOnJournalFailure(t *testing.T) {
 			if s.LastSeq() != st.LastSeq {
 				t.Fatalf("server lastSeq %d != replayed %d", s.LastSeq(), st.LastSeq)
 			}
+			assertServedMatches(t, s)
 		})
 	}
 }
@@ -336,6 +339,60 @@ func TestWriteOpErrorMapping(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), `"error"`) {
 			t.Errorf("%v: body %q lacks JSON error field", tc.err, rec.Body.String())
 		}
+	}
+}
+
+// TestJournalFailureAnswers503 checks that the journaled writes outside
+// the batch path answer a failed journal append the way the batch path
+// does — 503, not 500 — and leave the state as it was.
+func TestJournalFailureAnswers503(t *testing.T) {
+	var buf bytes.Buffer
+	fw := &failWriter{w: &buf}
+	s := New(suiteMechanism(t, "geometric"), WithJournal(journal.NewWriter(fw, 1)))
+	for _, step := range [][2]string{{"ada", ""}, {"bo", "ada"}} {
+		if err := s.Join(step[0], step[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Contribute(step[0], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Quarantine("bo"); err != nil {
+		t.Fatal(err)
+	}
+	// Growth since epoch 1, so a settle has work to journal.
+	if err := s.Contribute("ada", 1); err != nil {
+		t.Fatal(err)
+	}
+	state := func() []byte {
+		data, err := json.Marshal(s.SnapshotState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	h := s.Handler()
+	fw.fail = true
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"quarantine", "POST", "/v1/audit/quarantine", `{"name":"ada"}`},
+		{"unquarantine", "DELETE", "/v1/audit/quarantine/bo", ""},
+		{"settle", "POST", "/v1/epochs/settle", ""},
+		{"claim", "POST", "/v1/claims", `{"name":"ada","epoch":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := state()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("%s %s = %d %s, want 503", tc.method, tc.path, rec.Code, rec.Body)
+			}
+			if after := state(); !bytes.Equal(before, after) {
+				t.Fatalf("state changed by the failed write:\n before %s\n after  %s", before, after)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 //	itree_journal_last_seq     last persisted journal sequence number
 //
 // Gauges are computed at scrape time under the server's read lock; the
-// reward gauges cost one O(n) mechanism evaluation per scrape.
+// reward gauges cost one O(n) pass over the reward aggregates per
+// scrape.
 func WithMetricsLabels(reg *obs.Registry, labels ...string) Option {
 	return func(s *Server) {
 		s.metrics = reg
@@ -125,17 +126,12 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.settleObs = newSettleCounters(reg, labels...)
 }
 
-// rewardTotals evaluates the mechanism once and returns R(T) and the
-// budget utilization R(T)/(Phi*C(T)) (0 for an empty deployment or a
-// failed evaluation — gauges have no error channel).
+// rewardTotals returns R(T) and the budget utilization R(T)/(Phi*C(T))
+// (0 for an empty deployment).
 func (s *Server) rewardTotals() (total, utilization float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rewards, err := s.rewardsLocked()
-	if err != nil {
-		return 0, 0
-	}
-	total = rewards.Total()
+	total = s.rewardsLocked().Total()
 	if budget := s.mech.Params().Phi * s.tree.Total(); budget > 0 {
 		utilization = total / budget
 	}

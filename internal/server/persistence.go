@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"incentivetree/internal/incremental"
+	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
 )
@@ -113,12 +113,16 @@ func stateFromSnapshot(snap Snapshot) (*journal.State, error) {
 	return st, nil
 }
 
-// adoptState installs a replayed state, rebuilding the incremental
-// engine (if one is configured) from the new tree.
+// adoptState installs a replayed state, folding the reward aggregates
+// of the new tree in one O(n) pass.
 func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tree = st.Tree
+	s.agg = core.FoldAll(s.local, s.tree, s.agg)
+	if s.local.UsesTotal() {
+		s.total = s.tree.Total()
+	}
 	s.byKey = st.ByName
 	s.lastSeq = st.LastSeq
 	s.quarantined = st.Quarantined
@@ -132,13 +136,6 @@ func (s *Server) adoptState(st *journal.State) {
 	// lastSeq may move backwards on a restore, but the cache version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
-	if s.useEngine {
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-		} else {
-			s.engine = nil
-		}
-	}
 	if s.commitHook != nil {
 		// A restore invalidates any incremental knowledge downstream.
 		s.commitHook(s.version, nil)
@@ -147,10 +144,11 @@ func (s *Server) adoptState(st *journal.State) {
 
 // ApplyReplicated applies a contiguous batch of journal events
 // replicated from a primary, under the write lock and through the same
-// replay code as crash recovery — so a follower that applies the
-// primary's journal reaches byte-identical state. The batch must
-// extend the current state exactly (first event at LastSeq+1, no
-// gaps); this is checked before anything mutates. On a replay error
+// replay code as crash recovery, then re-folds the reward aggregates on
+// the root paths of its joins and contributions — so a follower that
+// applies the primary's journal reaches byte-identical state. The
+// batch must extend the current state exactly (first event at
+// LastSeq+1, no gaps); this is checked before anything mutates. On a replay error
 // the state may be partially advanced: the caller (a replication
 // follower) must discard the deployment and re-bootstrap from a
 // snapshot, which is its recovery path for any divergence.
@@ -170,6 +168,18 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 	}
 	st := &journal.State{Tree: s.tree, ByName: s.byKey, LastSeq: s.lastSeq, Quarantined: s.quarantined, Ledger: s.ledger}
 	st, err := journal.Replay(st, events)
+	// Replay mutates the tree in place, also when it fails part-way, so
+	// the aggregates follow it either way.
+	var touched []tree.NodeID
+	for _, e := range events {
+		if e.Kind != journal.KindJoin && e.Kind != journal.KindContribute {
+			continue
+		}
+		if id, ok := s.byKey[e.Name]; ok {
+			touched = append(touched, id)
+		}
+	}
+	s.refoldLocked(touched)
 	if err != nil {
 		// Keep the cache from serving the partially mutated tree.
 		s.version++
@@ -179,18 +189,6 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 	s.quarantined = st.Quarantined
 	s.ledger = st.Ledger
 	s.version++
-	if s.useEngine && s.engine != nil {
-		// Replay bypassed the engine's O(depth) bookkeeping; rebuild its
-		// derived sums from the tree. Followers normally run without an
-		// engine (full evaluation keeps reward bytes identical to the
-		// primary), so this is a programmatic-use safety net, not a hot
-		// path.
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-		} else {
-			s.engine = nil
-		}
-	}
 	return nil
 }
 

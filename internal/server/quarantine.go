@@ -53,7 +53,7 @@ func (s *Server) setQuarantine(name string, on bool) error {
 	if s.journal != nil {
 		e, err := s.journal.Append(journal.Event{Kind: kind, Name: name})
 		if err != nil {
-			return fmt.Errorf("server: journal append: %w", err)
+			return fmt.Errorf("%w: %w", errJournalAppend, err)
 		}
 		s.lastSeq = e.Seq
 	} else {
@@ -104,55 +104,47 @@ func (s *Server) IsQuarantined(name string) bool {
 	return s.quarantined[name]
 }
 
-// quarantineMaskLocked computes, per node id, whether the node's payout
-// is withheld — true when the node or any ancestor carries a flag. It
-// returns nil when nothing is quarantined, so the common case costs one
-// map-length check.
-func (s *Server) quarantineMaskLocked() []bool {
+// maskedLocked reports whether u's payout is withheld: u or one of its
+// ancestors carries a quarantine flag. It costs one map-length check
+// while nothing is quarantined, and an ancestor walk otherwise.
+func (s *Server) maskedLocked(u tree.NodeID) bool {
 	if len(s.quarantined) == 0 {
-		return nil
+		return false
 	}
-	mask := make([]bool, s.tree.Len())
-	for name := range s.quarantined {
-		id, ok := s.byKey[name]
-		if !ok {
-			continue
-		}
-		s.tree.Walk(id, func(v tree.NodeID) bool {
-			mask[v] = true
+	for v := u; v != tree.Root; v = s.tree.Parent(v) {
+		if s.quarantined[s.tree.Label(v)] {
 			return true
-		})
-	}
-	return mask
-}
-
-// maskRewards returns a copy of rewards with masked entries zeroed.
-// The input is never mutated (it may be the incremental engine's
-// internal buffer).
-func maskRewards(rewards core.Rewards, mask []bool) core.Rewards {
-	out := make(core.Rewards, len(rewards))
-	copy(out, rewards)
-	for id, hit := range mask {
-		if hit && id < len(out) {
-			out[id] = 0
 		}
 	}
-	return out
+	return false
 }
 
-// servedRewardsLocked returns the reward table as the API serves it:
-// the mechanism's table with quarantined subtrees zeroed, plus the
-// mask used (nil when no quarantine is active).
-func (s *Server) servedRewardsLocked() (core.Rewards, []bool, error) {
-	rewards, err := s.rewardsLocked()
-	if err != nil {
-		return nil, nil, err
+// servedRewardsLocked returns the reward table as the API serves it —
+// quarantined subtrees read zero — plus the mask that flags them (nil
+// when no quarantine is active). One pass in id order builds both: a
+// parent's mask entry is final before any child's.
+func (s *Server) servedRewardsLocked() (core.Rewards, []bool) {
+	if len(s.quarantined) == 0 {
+		return s.rewardsLocked(), nil
 	}
-	mask := s.quarantineMaskLocked()
-	if mask != nil {
-		rewards = maskRewards(rewards, mask)
+	n := s.tree.Len()
+	mask := make([]bool, n)
+	for name := range s.quarantined {
+		if id, ok := s.byKey[name]; ok {
+			mask[id] = true
+		}
 	}
-	return rewards, mask, nil
+	r := make(core.Rewards, n)
+	for id := 1; id < n; id++ {
+		u := tree.NodeID(id)
+		if mask[s.tree.Parent(u)] {
+			mask[u] = true
+		}
+		if !mask[u] {
+			r[u] = s.local.Reward(s.tree, s.agg, u, s.total)
+		}
+	}
+	return r, mask
 }
 
 // SetCommitObserver installs fn to be called after every committed

@@ -12,7 +12,7 @@ import (
 // full reward table sorted by name (GET /v1/rewards) and the same
 // participants ranked by reward (GET /v1/leaderboard). One view is
 // built per committed batch version, so bursts of reads between writes
-// cost one mechanism evaluation total.
+// cost one pass over the reward aggregates total.
 type queryView struct {
 	rewards rewardsResponse
 	leaders []Participant // by reward desc, name asc on ties
@@ -27,7 +27,7 @@ func (s *Server) initCache() {
 			s.metrics.Counter("itree_rewards_cache_hits_total",
 				"Reward-table reads served from the versioned cache.", s.labels...),
 			s.metrics.Counter("itree_rewards_cache_misses_total",
-				"Reward-table cache rebuilds (one mechanism evaluation each).", s.labels...),
+				"Reward-table cache rebuilds (one pass over the reward aggregates each).", s.labels...),
 		)
 	}
 }
@@ -42,18 +42,16 @@ func (s *Server) stateVersion() uint64 {
 	return s.version
 }
 
-// buildQueryView evaluates the mechanism once and derives both read
-// views under the read lock, returning the version they correspond to.
+// buildQueryView reads the served reward table once and derives both
+// read views under the read lock, returning the version they
+// correspond to.
 func (s *Server) buildQueryView() (uint64, *queryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// servedRewardsLocked zeroes quarantined subtrees, so both views —
 	// and TotalReward, which sums the served table — reflect withheld
 	// payouts while Total (raw contribution) stays as recorded.
-	rewards, mask, err := s.servedRewardsLocked()
-	if err != nil {
-		return 0, nil, err
-	}
+	rewards, mask := s.servedRewardsLocked()
 	resp := rewardsResponse{
 		Mechanism:    s.mech.Name(),
 		Total:        s.tree.Total(),
@@ -62,7 +60,7 @@ func (s *Server) buildQueryView() (uint64, *queryView, error) {
 		Participants: make([]Participant, 0, s.tree.NumParticipants()),
 	}
 	for _, u := range s.tree.Nodes() {
-		resp.Participants = append(resp.Participants, s.viewLocked(u, rewards, mask))
+		resp.Participants = append(resp.Participants, s.viewOfLocked(u, rewards[u], mask != nil && mask[u]))
 	}
 	// Sorted by name so the table is deterministic even across snapshot
 	// restores, which renumber node ids in DFS preorder.

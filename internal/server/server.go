@@ -20,11 +20,16 @@
 //	GET  /v1/claims[?name=...]                               -> claims accounting
 //	GET  /v1/healthz                                         -> 200 ok
 //
-// All state lives in memory behind a single RWMutex. With WithBatching,
-// writes flow through a group-commit ingest pipeline (one lock
-// acquisition, journal sync, and reward recompute per batch; full
-// queues shed with 429); reward reads are served from a versioned
-// cache invalidated by commit version (internal/query).
+// All state lives in memory behind a single RWMutex. Rewards are served
+// from one maintained aggregate per participant, the mechanism's local
+// form (core.Local): a committed write re-folds only the root paths it
+// touched, a participant read costs O(depth), and the full table is one
+// O(n) pass. Every served reward equals the mechanism's Rewards bit for
+// bit. With WithBatching, writes flow through a group-commit ingest
+// pipeline (one lock acquisition, journal sync, and re-fold per batch;
+// full queues shed with 429); the reward table and leaderboard are
+// served from a versioned cache invalidated by commit version
+// (internal/query).
 package server
 
 import (
@@ -37,7 +42,6 @@ import (
 
 	"incentivetree/internal/audit"
 	"incentivetree/internal/core"
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
@@ -48,16 +52,23 @@ import (
 // Server is the shared state behind the HTTP handler.
 type Server struct {
 	mech      core.Mechanism
+	local     core.Local // mech.Local(), never nil
 	journal   *journal.Writer
 	metrics   *obs.Registry // nil = uninstrumented
 	labels    []string      // metric labels from WithMetricsLabels
-	useEngine bool          // WithIncremental requested
 	batching  *ingest.Options
 	committer *ingest.Committer        // non-nil iff WithBatching
 	cache     *query.Cache[*queryView] // versioned read-side views
 
-	mu      sync.RWMutex
-	tree    *tree.Tree
+	mu   sync.RWMutex
+	tree *tree.Tree
+	// agg holds the local form's aggregate A(u) for every node of tree.
+	// Only committed state reaches it: a batch re-folds the root paths it
+	// touched after its journal append succeeds (see refoldLocked).
+	agg []float64
+	// total is C(T) as tree.Total sums it, kept current only when the
+	// local form reads it.
+	total   float64
 	byKey   map[string]tree.NodeID
 	lastSeq uint64
 	// quarantined holds names whose subtrees are withheld from payout;
@@ -80,22 +91,18 @@ type Server struct {
 	// version counts committed batches and state restores; it keys the
 	// read cache and, unlike lastSeq, never moves backwards in-process.
 	version uint64
-	// engine, when non-nil, owns tree and maintains rewards in O(depth)
-	// per write; all writes must route through it.
-	engine incremental.Engine
 }
 
-// New creates an empty deployment under the mechanism.
+// New creates an empty deployment under the mechanism, which must have
+// a local form (m.Local() != nil); New panics otherwise.
 func New(m core.Mechanism, opts ...Option) *Server {
-	s := &Server{mech: m, tree: tree.New(), byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger()}
+	local := m.Local()
+	if local == nil {
+		panic(fmt.Sprintf("server: mechanism %s has no local form", m.Name()))
+	}
+	s := &Server{mech: m, local: local, tree: tree.New(), agg: []float64{0}, byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger()}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.useEngine {
-		if e, ok := incremental.ForMechanism(m); ok {
-			s.engine = e
-			s.tree = e.Tree()
-		}
 	}
 	s.initCache()
 	if s.batching != nil {
@@ -109,18 +116,6 @@ func New(m core.Mechanism, opts ...Option) *Server {
 		s.committer = ingest.New(s, o)
 	}
 	return s
-}
-
-// WithIncremental serves rewards from an incrementally-maintained
-// engine (internal/incremental) when the mechanism admits one
-// (Geometric, CDRM family): writes cost O(depth) and reward reads skip
-// the O(n) mechanism evaluation. Mechanisms without a local
-// decomposition (TDRM, L-Pachira) silently keep per-read full
-// evaluation. Engine-served rewards equal full evaluation up to
-// floating-point summation order; deployments that need bit-identical
-// reward tables across snapshot recovery should leave this off.
-func WithIncremental() Option {
-	return func(s *Server) { s.useEngine = true }
 }
 
 // Participant is the wire representation of one participant's state.
@@ -245,7 +240,7 @@ func (s *Server) handleParticipant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p)
 }
 
-// participant evaluates the mechanism and returns one participant's view.
+// participant returns one participant's view.
 func (s *Server) participant(name string) (Participant, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -253,40 +248,47 @@ func (s *Server) participant(name string) (Participant, error) {
 	if !ok {
 		return Participant{}, fmt.Errorf("unknown participant %q", name)
 	}
-	rewards, mask, err := s.servedRewardsLocked()
-	if err != nil {
-		return Participant{}, err
-	}
-	return s.viewLocked(id, rewards, mask), nil
+	return s.viewLocked(id), nil
 }
 
-// rewardsLocked returns the current reward table, served from the
-// incremental engine when one is attached and by full mechanism
-// evaluation otherwise. Callers hold at least the read lock.
-func (s *Server) rewardsLocked() (core.Rewards, error) {
-	if s.engine != nil {
-		return s.engine.Rewards(), nil
+// viewLocked builds one participant's wire view from the maintained
+// aggregates: one reward formula plus, while a quarantine is active,
+// an ancestor walk. Callers hold at least the read lock.
+func (s *Server) viewLocked(id tree.NodeID) Participant {
+	if s.maskedLocked(id) {
+		return s.viewOfLocked(id, 0, true)
 	}
-	return s.mech.Rewards(s.tree)
+	return s.viewOfLocked(id, s.local.Reward(s.tree, s.agg, id, s.total), false)
 }
 
-// viewLocked builds one participant's wire view. rewards is the table
-// as served (already masked when a quarantine is active); mask, when
-// non-nil, flags the nodes whose payout is withheld.
-func (s *Server) viewLocked(id tree.NodeID, rewards core.Rewards, mask []bool) Participant {
+// viewOfLocked builds one participant's wire view around its served
+// reward and quarantine state.
+func (s *Server) viewOfLocked(id tree.NodeID, reward float64, quarantined bool) Participant {
 	sponsor := ""
 	if p := s.tree.Parent(id); p != tree.Root {
 		sponsor = s.tree.Label(p)
 	}
+	c := s.tree.Contribution(id)
 	return Participant{
 		Name:         s.tree.Label(id),
 		Sponsor:      sponsor,
-		Contribution: s.tree.Contribution(id),
-		Reward:       rewards.Of(id),
-		Profit:       core.Profit(s.tree, rewards, id),
+		Contribution: c,
+		Reward:       reward,
+		Profit:       reward - c,
 		Recruits:     s.tree.NumChildren(id),
-		Quarantined:  mask != nil && int(id) < len(mask) && mask[id],
+		Quarantined:  quarantined,
 	}
+}
+
+// rewardsLocked returns the mechanism's reward table, read from the
+// maintained aggregates in one O(n) pass. Callers hold at least the
+// read lock.
+func (s *Server) rewardsLocked() core.Rewards {
+	r := make(core.Rewards, s.tree.Len())
+	for id := 1; id < len(r); id++ {
+		r[id] = s.local.Reward(s.tree, s.agg, tree.NodeID(id), s.total)
+	}
+	return r
 }
 
 func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
@@ -296,8 +298,8 @@ func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsResponse is the enriched /v1/stats payload: tree shape plus the
-// paper-level budget view (R(T), Phi*C(T), and their ratio) and, when
-// metrics are attached, a structured snapshot of every recorded metric.
+// paper-level budget view (R(T), Phi*C(T), and their ratio). Metrics
+// are served by /metrics.
 type statsResponse struct {
 	Mechanism         string      `json:"mechanism"`
 	Params            core.Params `json:"params"`
@@ -309,23 +311,16 @@ type statsResponse struct {
 	// Quarantined counts the quarantine flags currently set. TotalReward
 	// above stays the mechanism-level R(T): budget accounting is about
 	// what the mechanism allocates, not what payout withholds.
-	Quarantined int               `json:"quarantined,omitempty"`
-	Metrics     []obs.MetricValue `json:"metrics,omitempty"`
+	Quarantined int `json:"quarantined,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	rewards, err := s.rewardsLocked()
-	if err != nil {
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		return
-	}
 	resp := statsResponse{
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
 		Tree:        s.tree.ComputeStats(),
-		TotalReward: rewards.Total(),
+		TotalReward: s.rewardsLocked().Total(),
 		Budget:      s.mech.Params().Phi * s.tree.Total(),
 		LastSeq:     s.lastSeq,
 		Quarantined: len(s.quarantined),
@@ -333,9 +328,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RUnlock()
 	if resp.Budget > 0 {
 		resp.BudgetUtilization = resp.TotalReward / resp.Budget
-	}
-	if s.metrics != nil {
-		resp.Metrics = s.metrics.Snapshot()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

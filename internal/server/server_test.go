@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -324,18 +325,18 @@ func TestDomainGauges(t *testing.T) {
 	if snap.BudgetUtilization <= 0 || snap.BudgetUtilization > 1+1e-9 {
 		t.Fatalf("budget utilization = %v", snap.BudgetUtilization)
 	}
-	// The enriched stats carry the metrics snapshot.
+	// The scraped gauge agrees with the stats view.
 	found := false
-	for _, mv := range snap.Metrics {
-		if mv.Name == "itree_budget_utilization" {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "itree_budget_utilization "); ok {
 			found = true
-			if mv.Value != snap.BudgetUtilization {
-				t.Fatalf("gauge %v != stats utilization %v", mv.Value, snap.BudgetUtilization)
+			if g, err := strconv.ParseFloat(v, 64); err != nil || g != snap.BudgetUtilization {
+				t.Fatalf("gauge %q != stats utilization %v", v, snap.BudgetUtilization)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("stats metrics snapshot missing itree_budget_utilization")
+		t.Fatal("exposition missing itree_budget_utilization")
 	}
 }
 

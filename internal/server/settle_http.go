@@ -159,10 +159,7 @@ func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
 func (s *Server) Settle() (EpochSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rewards, _, err := s.servedRewardsLocked()
-	if err != nil {
-		return EpochSummary{}, fmt.Errorf("server: settle: %w", err)
-	}
+	rewards, _ := s.servedRewardsLocked()
 	nodes := s.tree.Nodes()
 	entries := make([]settle.Entry, 0, len(nodes))
 	for _, u := range nodes {
@@ -183,10 +180,10 @@ func (s *Server) Settle() (EpochSummary, error) {
 	// Journal first: nothing mutates until the record is durable, so a
 	// failed append leaves memory and log in agreement.
 	if s.journal != nil {
-		//itreevet:ignore journalfirst servedRewardsLocked above only refreshes the derived reward memo, which recovery recomputes; ledger state mutates after the append
+		//itreevet:ignore journalfirst servedRewardsLocked above only reads the reward aggregates (the analyzer takes every *Locked call for a write); ledger state mutates after the append
 		pe, err := s.journal.Append(ev)
 		if err != nil {
-			return EpochSummary{}, fmt.Errorf("server: journal append: %w", err)
+			return EpochSummary{}, fmt.Errorf("%w: %w", errJournalAppend, err)
 		}
 		ev = pe
 	} else {
@@ -238,7 +235,7 @@ func (s *Server) Claim(name string, epoch uint64) (ClaimReceipt, error) {
 		//itreevet:ignore journalfirst the earlier mutation is the conflict metrics counter on the already-claimed return path, not journaled state
 		pe, err := s.journal.Append(ev)
 		if err != nil {
-			return ClaimReceipt{}, fmt.Errorf("server: journal append: %w", err)
+			return ClaimReceipt{}, fmt.Errorf("%w: %w", errJournalAppend, err)
 		}
 		ev = pe
 	} else {
@@ -376,13 +373,15 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 
 // writeSettleError maps settlement failures to HTTP: unknown names and
 // unsettled epochs 404, idle settles and duplicate claims 409, journal
-// failures 500.
+// append failures 503 (as on the batch write path), anything else 500.
 func writeSettleError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownParticipant), errors.Is(err, ErrEpochNotSettled), errors.Is(err, ErrNoShare):
 		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
 	case errors.Is(err, ErrNothingToSettle), errors.Is(err, ErrAlreadyClaimed):
 		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
+	case errors.Is(err, errJournalAppend):
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 	}

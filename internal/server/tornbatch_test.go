@@ -5,13 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
 
-	"incentivetree/internal/core"
-	"incentivetree/internal/geometric"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 )
@@ -44,19 +41,11 @@ func (tw *tornWriter) Write(p []byte) (int, error) {
 // replay of the surviving bytes rebuilds a tree byte-identical to the
 // in-memory one — before and after the log is truncated and healed.
 func TestAppendBatchTornWriteReplayIdentity(t *testing.T) {
-	for _, useEngine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", useEngine), func(t *testing.T) {
-			m, err := geometric.Default(core.DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, arm := range rollbackArms {
+		t.Run(arm.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			tw := &tornWriter{w: &buf}
-			opts := []Option{WithJournal(journal.NewWriter(tw, 1))}
-			if useEngine {
-				opts = append(opts, WithIncremental())
-			}
-			s := New(m, opts...)
+			s := New(suiteMechanism(t, arm.mechanism), WithJournal(journal.NewWriter(tw, 1)))
 			for _, op := range []ingest.Op{
 				{Kind: ingest.OpJoin, Name: "ada"},
 				{Kind: ingest.OpJoin, Name: "bob", Sponsor: "ada"},
@@ -116,9 +105,11 @@ func TestAppendBatchTornWriteReplayIdentity(t *testing.T) {
 }
 
 // assertReplayMatches replays events from scratch and requires the
-// rebuilt tree to marshal to exactly the server's current tree.
+// rebuilt tree to marshal to exactly the server's current tree, whose
+// served rewards equal full evaluation bit for bit.
 func assertReplayMatches(t *testing.T, s *Server, events []journal.Event) {
 	t.Helper()
+	assertServedMatches(t, s)
 	st, err := journal.Replay(nil, events)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 // Handler returns the store's HTTP API:
 //
-//	POST   /v1/campaigns                  {"id","mechanism","phi","fair","incremental"} -> create
+//	POST   /v1/campaigns                  {"id","mechanism","phi","fair"} -> create
 //	GET    /v1/campaigns                  -> campaign summaries
 //	GET    /v1/campaigns/{id}             -> one summary
 //	DELETE /v1/campaigns/{id}             -> delete campaign and its data
@@ -40,13 +40,14 @@ func (st *Store) Handler() http.Handler {
 	return mux
 }
 
-// createRequest is the wire format of POST /v1/campaigns.
+// createRequest is the wire format of POST /v1/campaigns. Requests
+// that still carry the retired "incremental" switch decode; the field
+// is ignored.
 type createRequest struct {
-	ID          string  `json:"id"`
-	Mechanism   string  `json:"mechanism,omitempty"`
-	Phi         float64 `json:"phi,omitempty"`
-	Fair        float64 `json:"fair,omitempty"`
-	Incremental bool    `json:"incremental,omitempty"`
+	ID        string  `json:"id"`
+	Mechanism string  `json:"mechanism,omitempty"`
+	Phi       float64 `json:"phi,omitempty"`
+	Fair      float64 `json:"fair,omitempty"`
 }
 
 // campaignInfo is the wire format of a campaign summary.
@@ -55,7 +56,6 @@ type campaignInfo struct {
 	Mechanism    string  `json:"mechanism"`
 	Phi          float64 `json:"phi"`
 	Fair         float64 `json:"fair"`
-	Incremental  bool    `json:"incremental,omitempty"`
 	Participants int     `json:"participants"`
 	Contribution float64 `json:"total_contribution"`
 	LastSeq      uint64  `json:"last_seq"`
@@ -72,7 +72,6 @@ func (st *Store) info(c *Campaign) campaignInfo {
 		Mechanism:    c.Meta.Mechanism,
 		Phi:          c.Meta.Params.Phi,
 		Fair:         c.Meta.Params.FairShare,
-		Incremental:  c.Meta.Incremental,
 		Participants: snap.Tree.NumParticipants(),
 		Contribution: snap.Tree.Total(),
 		LastSeq:      snap.LastSeq,
@@ -90,10 +89,9 @@ func (st *Store) handleCreate(w http.ResponseWriter, r *http.Request) {
 		params = st.cfg.DefaultParams
 	}
 	c, err := st.Create(Meta{
-		ID:          req.ID,
-		Mechanism:   req.Mechanism,
-		Params:      params,
-		Incremental: req.Incremental,
+		ID:        req.ID,
+		Mechanism: req.Mechanism,
+		Params:    params,
 	})
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})

@@ -27,10 +27,9 @@ func (c *Campaign) journalPath() string {
 func (st *Store) primaryCampaign(c *Campaign) replica.PrimaryCampaign {
 	return replica.PrimaryCampaign{
 		Meta: replica.Meta{
-			ID:          c.Meta.ID,
-			Mechanism:   c.Meta.Mechanism,
-			Params:      c.Meta.Params,
-			Incremental: c.Meta.Incremental,
+			ID:        c.Meta.ID,
+			Mechanism: c.Meta.Mechanism,
+			Params:    c.Meta.Params,
 		},
 		Snapshot:        c.srv.SnapshotState,
 		LastSeq:         c.srv.LastSeq,
@@ -62,9 +61,10 @@ func (st *Store) handleReplicaJournal(w http.ResponseWriter, r *http.Request) {
 // same mechanism configuration its deployment is restored in place
 // (metric series and handler identity survive a re-bootstrap);
 // otherwise a fresh deployment replaces it. Adopted campaigns run
-// without journal, ingest pipeline, or incremental engine: writes
-// never reach a follower (the replica middleware redirects them), and
-// full evaluation keeps reward bytes identical to the primary's.
+// without journal or ingest pipeline: writes never reach a follower
+// (the replica middleware redirects them). The follower's reward
+// aggregates fold the same tree the same way, so its reward bytes are
+// identical to the primary's.
 func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier, error) {
 	if !st.cfg.Follower {
 		return nil, errors.New("store: Adopt requires a follower-mode store")
@@ -87,10 +87,9 @@ func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier
 		return nil, err
 	}
 	c := &Campaign{Meta: Meta{
-		ID:          meta.ID,
-		Mechanism:   meta.Mechanism,
-		Params:      meta.Params,
-		Incremental: meta.Incremental,
+		ID:        meta.ID,
+		Mechanism: meta.Mechanism,
+		Params:    meta.Params,
 	}}
 	var opts []server.Option
 	if st.cfg.Metrics != nil {

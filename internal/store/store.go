@@ -1,7 +1,7 @@
 // Package store is the multi-tenant serving layer of the Incentive Tree
 // daemon: it owns many independent campaigns per process, each a full
-// server.Server deployment (referral tree + name index + optional
-// incremental reward engine + its own write-ahead journal under a data
+// server.Server deployment (referral tree + name index + maintained
+// reward aggregates + its own write-ahead journal under a data
 // directory), with campaign lookup sharded across lock-striped maps so
 // campaigns never contend with each other.
 //
@@ -123,6 +123,7 @@ type Config struct {
 	// campaign's per-campaign domain gauges (labelled campaign="<id>").
 	Metrics *obs.Registry
 	// NewMechanism constructs the mechanism for a campaign; required.
+	// The mechanism must have a local form (core.Mechanism.Local).
 	NewMechanism func(name string, p core.Params) (core.Mechanism, error)
 	// DefaultMechanism and DefaultParams configure the auto-created
 	// "default" campaign (empty mechanism name means "tdrm").
@@ -137,11 +138,12 @@ type Config struct {
 }
 
 // Meta is the persisted configuration of one campaign (meta.json).
+// Files written by releases that had a per-campaign "incremental"
+// switch still decode; the field is ignored.
 type Meta struct {
 	ID          string      `json:"id"`
 	Mechanism   string      `json:"mechanism"`
 	Params      core.Params `json:"params"`
-	Incremental bool        `json:"incremental,omitempty"`
 	CreatedUnix int64       `json:"created_unix,omitempty"`
 }
 
@@ -424,17 +426,23 @@ func (st *Store) Create(meta Meta) (*Campaign, error) {
 	return c, nil
 }
 
-// newMechanism builds (and validates) the campaign's mechanism.
+// newMechanism builds (and validates) the campaign's mechanism. The
+// server serves rewards only through the local form, so a mechanism
+// without one is refused.
 func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
 	mech, err := st.cfg.NewMechanism(meta.Mechanism, meta.Params)
 	if err != nil {
 		return nil, fmt.Errorf("store: campaign %q: %w", meta.ID, err)
 	}
+	if mech.Local() == nil {
+		return nil, fmt.Errorf("store: campaign %q: mechanism %s has no local form", meta.ID, mech.Name())
+	}
 	return mech, nil
 }
 
 // serverOptions assembles the per-campaign server options: journal
-// writer (starting at nextSeq), labelled metrics, incremental engine.
+// writer (starting at nextSeq), labelled metrics, epoch budget and
+// ingest batching.
 func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	var opts []server.Option
 	if c.fw != nil {
@@ -442,9 +450,6 @@ func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	}
 	if st.cfg.Metrics != nil {
 		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", c.Meta.ID))
-	}
-	if c.Meta.Incremental {
-		opts = append(opts, server.WithIncremental())
 	}
 	if st.cfg.EpochBudget != 0 {
 		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))

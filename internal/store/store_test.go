@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"incentivetree/internal/core"
+	"incentivetree/internal/emek"
 	"incentivetree/internal/experiments"
 	"incentivetree/internal/obs"
 )
@@ -245,5 +247,74 @@ func TestCreateDefaultsInherit(t *testing.T) {
 	}
 	if created.Mechanism != "geometric" || created.Phi != 0.3 {
 		t.Fatalf("defaults not inherited: %+v", created)
+	}
+}
+
+// TestForMechanism checks which mechanisms a campaign can run: every
+// mechanism itreed serves has a local form — also behind the metrics
+// wrapper itreed puts around it — and one without (Emek) is refused.
+func TestForMechanism(t *testing.T) {
+	cfg := testConfig("")
+	reg := obs.NewRegistry()
+	cfg.NewMechanism = func(name string, p core.Params) (core.Mechanism, error) {
+		m, err := experiments.ByName(p, name)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Instrumented(m, reg), nil
+	}
+	st := openStore(t, cfg)
+	for _, name := range experiments.MechanismNames() {
+		if _, err := st.Create(Meta{ID: "c-" + name, Mechanism: name}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	cfg.NewMechanism = func(_ string, p core.Params) (core.Mechanism, error) { return emek.Default(p) }
+	if st, err := Open(cfg); err == nil {
+		st.Close()
+		t.Fatal("store opened with a mechanism that has no local form")
+	} else if !strings.Contains(err.Error(), "no local form") {
+		t.Fatalf("Open = %v, want a no-local-form refusal", err)
+	}
+}
+
+// TestRecoverLegacyIncrementalMeta: campaigns created while a
+// per-campaign "incremental" switch existed recover, and create
+// requests that still send it are accepted; the field is ignored.
+func TestRecoverLegacyIncrementalMeta(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir)
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := st.Handler()
+	if code := do(t, h, "POST", "/v1/campaigns", `{"id":"zeta","mechanism":"cdrm-reciprocal","incremental":true}`, nil); code != http.StatusCreated {
+		t.Fatalf("create = %d", code)
+	}
+	workload(t, h, "zeta", 2, 20)
+	pre := rewardsBytes(t, h, "zeta")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, "campaigns", "zeta", "meta.json")
+	raw, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["incremental"] = true
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, cfg)
+	if post := rewardsBytes(t, st2.Handler(), "zeta"); !bytes.Equal(pre, post) {
+		t.Fatalf("recovered rewards differ\npre:  %s\npost: %s", pre, post)
 	}
 }

@@ -48,11 +48,16 @@ type RCT struct {
 // ChainLength returns N_u = ceil(C/mu), with a minimum of 1 so that
 // zero-contribution participants still occupy a node (the paper leaves
 // C(u) = 0 implicit; a zero-length chain would disconnect u's children).
+// A length past math.MaxInt saturates there.
 func ChainLength(c, mu float64) int {
 	if c <= 0 {
 		return 1
 	}
-	return int(math.Ceil(c / mu))
+	n := math.Ceil(c / mu)
+	if n >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(n)
 }
 
 // Transform builds the reward computation tree of t with contribution cap

@@ -2,7 +2,7 @@ package tdrm
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/tree"
@@ -15,6 +15,11 @@ type Mechanism struct {
 	mu     float64 // contribution cap simulated by the RCT
 	a      float64 // geometric decay
 	b      float64 // bubble fraction, a + b < 1
+	// short caches the length-only part of the chain fold for the chain
+	// lengths most participants have: the fold needs it at every node,
+	// and a lookup spares powInt's data-dependent branches and two
+	// divisions.
+	short [128]chainConst
 }
 
 // New validates the Theorem 4 parameter regime: 0 < lambda < Phi - phi,
@@ -38,7 +43,11 @@ func New(p core.Params, lambda, mu, a, b float64) (*Mechanism, error) {
 		return nil, fmt.Errorf("%w: b = %v, need b > 0 and a+b < 1 (a = %v)",
 			core.ErrBadParams, b, a)
 	}
-	return &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b}, nil
+	m := &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b}
+	for n := range m.short {
+		m.short[n] = m.chainConst(float64(n))
+	}
+	return m, nil
 }
 
 // Default returns the TDRM instance used across the experiments:
@@ -94,99 +103,111 @@ func (m *Mechanism) NodeRewards(r *RCT) core.Rewards {
 	return out
 }
 
-// Rewards implements core.Mechanism: transform the referral tree into its
-// RCT, compute per-chain-node rewards, and fold each chain back onto its
-// participant.
+// Rewards implements core.Mechanism in O(n) through the local form,
+// which folds every participant's RCT chain in closed form. It agrees
+// with Transform + NodeRewards, summed per chain, up to floating-point
+// rounding.
 func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// rctNode is one chain node of the flat RCT used by RewardsInto: its
-// parent in RCT id space, the referral-tree participant it folds back
-// onto, and its chain contribution. 16 bytes, so a chain append is one
-// bounds check and two stores.
-type rctNode struct {
-	parent tree.NodeID
-	origin tree.NodeID
-	c      float64
-}
-
-// evalScratch holds the per-evaluation working state of RewardsInto.
-// The RCT exists here only as a flat rctNode array — not as a
-// tree.Tree: the transform-evaluate-fold pipeline never needs sibling
-// chains, labels, or structural validation of the chain tree it just
-// built itself, and the hot search loops (Sybil best-attack
-// enumeration, incremental recompute) rebuild the RCT for every
-// candidate arrangement. Pooled because evaluations are short and
-// concurrent.
-type evalScratch struct {
-	rct   []rctNode
-	tails []tree.NodeID
-	sums  []float64
-}
-
-var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{} },
-}
-
-// RewardsInto implements core.IntoMechanism. It performs the same
-// transform-evaluate-fold pipeline as Transform + NodeRewards but on
-// pooled scratch arrays: chain nodes are appended in the exact order
-// Transform's rt.Add calls create them, and per-chain-node rewards are
-// folded directly into buf in the same order as Rewards, giving
-// identical floating-point results with zero steady-state allocations.
+// RewardsInto implements core.IntoMechanism with zero allocations,
+// through the local form.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
+	return core.EvalLocal(m, t, buf)
+}
+
+// Local implements core.Mechanism: the mechanism is its own local form.
+//
+// Participant u's RCT chain has N = ChainLength(C(u), mu) nodes: the
+// head carries h = C(u) - (N-1)*mu, the N-1 others carry mu, and the
+// heads of u's children's chains hang below the tail. With
+// X = sum_{children v} G(v) and g = sum_{j=1}^{N-1} a^j, the weighted
+// RCT sums fold in closed form:
+//
+//	G(u) = S(head_u) = h + mu*g + a^N * X
+//	sum_{i>=2} S(m_i) = mu*((N-1) - g)/(1-a) + g*X
+//	R(u) = (lambda*b/mu) * (h*G(u) + mu*sum_{i>=2} S(m_i)) + phi*C(u)
+//
+// so A(u) = X, and G and R cost O(1) per node: the terms that depend on
+// N alone are tabulated (see chainConst).
+func (m *Mechanism) Local() core.Local { return m }
+
+// Start implements core.Local: A(u) = X sums the children's G only.
+func (m *Mechanism) Start(*tree.Tree, tree.NodeID) float64 { return 0 }
+
+// Term implements core.Local: G(k), the weighted RCT sum at the head of
+// k's chain.
+func (m *Mechanism) Term(t *tree.Tree, agg []float64, k tree.NodeID) float64 {
+	_, _, head := m.chain(t.Contribution(k), agg[k])
+	return head
+}
+
+// Reward implements core.Local: R(u) from C(u) and X = A(u).
+func (m *Mechanism) Reward(t *tree.Tree, agg []float64, u tree.NodeID, _ float64) float64 {
+	c, x := t.Contribution(u), agg[u]
+	k, h, head := m.chain(c, x)
+	return m.lambda*m.b/m.mu*(h*head+m.mu*(k.rest+k.g*x)) + m.params.FairShare*c
+}
+
+// UsesTotal implements core.Local.
+func (m *Mechanism) UsesTotal() bool { return false }
+
+// chainConst is the part of a chain's closed form that depends on its
+// length N alone.
+type chainConst struct {
+	aN   float64 // a^N
+	g    float64 // sum_{j=1}^{N-1} a^j
+	rest float64 // mu*((N-1) - g)/(1-a), sum_{i>=2} S(m_i) at X = 0
+}
+
+func (m *Mechanism) chainConst(n float64) chainConst {
+	// A length past MaxInt keeps a^MaxInt, which on 64-bit platforms
+	// has already underflowed to 0 for every a <= 1 - 2^-53.
+	e := math.MaxInt
+	if n < math.MaxInt {
+		e = int(n)
 	}
-	contribs, parents := t.Contributions(), t.Parents()
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	if cap(sc.tails) < len(parents) {
-		sc.tails = make([]tree.NodeID, len(parents))
+	aN := powInt(m.a, e)
+	g := (m.a - aN) / (1 - m.a)
+	return chainConst{aN: aN, g: g, rest: m.mu * ((n - 1) - g) / (1 - m.a)}
+}
+
+// chain folds the chain of a participant with contribution c whose
+// children's heads sum to x: it returns the chain's length constants,
+// its head's contribution h = C(u) - (N-1)*mu, and G(u).
+//
+// N stays a float, so every finite c has a chain. On a long chain the
+// head is clamped to [0, mu]: once c/mu passes 2^53 an ulp of c exceeds
+// mu, so rounding can push h far outside, and a negative head would
+// carry a negative G(u) up to the ancestors. On a tabulated chain the
+// rounding is a few ulps of c and is left as the RCT has it.
+func (m *Mechanism) chain(c, x float64) (k chainConst, h, head float64) {
+	n := 1.0
+	if c > 0 {
+		n = math.Ceil(c / m.mu)
 	}
-	tails := sc.tails[:len(parents)]
-	tails[tree.Root] = tree.Root
-	rct := append(sc.rct[:0], rctNode{parent: tree.None, origin: tree.Root})
-	// Referral-tree ids are topological, so tails[parent] is final before
-	// any child chain attaches below it.
-	for id := 1; id < len(parents); id++ {
-		u := tree.NodeID(id)
-		c := contribs[id]
-		n := ChainLength(c, m.mu)
-		parent := tails[parents[id]]
-		w := tree.NodeID(len(rct))
-		rct = append(rct, rctNode{parent: parent, origin: u, c: c - float64(n-1)*m.mu})
-		parent = w
-		for i := 1; i < n; i++ {
-			w = tree.NodeID(len(rct))
-			rct = append(rct, rctNode{parent: parent, origin: u, c: m.mu})
-			parent = w
+	if n < float64(len(m.short)) {
+		k = m.short[int(n)]
+		h = c - (n-1)*m.mu
+	} else {
+		k = m.chainConst(n)
+		h = min(max(c-(n-1)*m.mu, 0), m.mu)
+	}
+	return k, h, h + m.mu*k.g + k.aN*x
+}
+
+// powInt returns x^n for n >= 0 by repeated squaring: log2(n) products,
+// where math.Pow would dominate a per-node fold.
+func powInt(x float64, n int) float64 {
+	p := 1.0
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			p *= x
 		}
-		tails[u] = parent
+		x *= x
 	}
-	sc.rct = rct
-	rn := len(rct)
-	if cap(sc.sums) < rn {
-		sc.sums = make([]float64, rn)
-	}
-	s := sc.sums[:rn]
-	for i := range s {
-		s[i] = 0
-	}
-	for w := rn - 1; w >= 1; w-- {
-		s[w] += rct[w].c
-		s[rct[w].parent] += m.a * s[w]
-	}
-	out := core.ResizeRewards(buf, len(parents))
-	scale := m.lambda * m.b / m.mu
-	// RCT ids within a chain ascend head-to-tail, so the forward scan folds
-	// each chain in the same order Rewards' explicit per-chain loop does.
-	for w := 1; w < rn; w++ {
-		c := rct[w].c
-		out[rct[w].origin] += scale*c*s[w] + m.params.FairShare*c
-	}
-	return out, nil
+	return p
 }
 
 // Preliminary is the budget-violating quadratic mechanism of Algorithm 3,

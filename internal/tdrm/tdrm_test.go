@@ -3,6 +3,7 @@ package tdrm
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"incentivetree/internal/core"
@@ -322,5 +323,107 @@ func TestRewardsRejectsInvalidTree(t *testing.T) {
 	var empty tree.Tree
 	if _, err := m.Rewards(&empty); err == nil {
 		t.Fatal("rootless tree should be rejected")
+	}
+}
+
+// rctOracle evaluates t the paper's way: Transform into the RCT,
+// NodeRewards on it, and each participant's chain summed head to tail.
+func rctOracle(t *testing.T, m *Mechanism, tr *tree.Tree) core.Rewards {
+	t.Helper()
+	rct, err := Transform(tr, m.Mu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := m.NodeRewards(rct)
+	out := make(core.Rewards, tr.Len())
+	for _, u := range tr.Nodes() {
+		for _, w := range rct.Chains[u] {
+			out[u] += nr[w]
+		}
+	}
+	return out
+}
+
+// TestClosedFormMatchesRCT checks the closed-form chain fold that
+// Rewards serves against the RCT evaluation, within relative 1e-12, on
+// populations with zero contributions and chains hundreds of nodes
+// long, under the default and a non-default parameterization.
+func TestClosedFormMatchesRCT(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	zeros := treegen.Random(rng, treegen.Config{N: 300, Contrib: func(r *rand.Rand) float64 {
+		if r.Intn(3) == 0 {
+			return 0
+		}
+		return r.Float64() * 6
+	}})
+	long := treegen.Random(rng, treegen.Config{N: 120, Contrib: treegen.Uniform(100, 900), Attach: treegen.DeepAttach})
+	pops := append(treegen.Corpus(43, 20, 80), zeros, long,
+		tree.FromSpecs(tree.Chain(0, 250.5, 0, 731, 1e-9, 399.999)),
+		tree.FromSpecs(tree.Star(512, 0, 3.25, 640.125, 0)))
+	p := core.DefaultParams()
+	mechs := []*Mechanism{mustTDRM(t, p, 0.36, 1, 1.0/3, 1.0/3), mustTDRM(t, p, 0.2, 2.5, 0.6, 0.3)}
+	worst := 0.0
+	for _, m := range mechs {
+		for i, tr := range pops {
+			got, err := m.Rewards(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rctOracle(t, m, tr)
+			for _, u := range tr.Nodes() {
+				if want[u] == 0 {
+					if got[u] != 0 {
+						t.Fatalf("%s tree %d node %d: closed form %v, RCT 0", m.Name(), i, u, got[u])
+					}
+					continue
+				}
+				d := math.Abs(got[u]-want[u]) / math.Abs(want[u])
+				worst = max(worst, d)
+				if d > 1e-12 {
+					t.Fatalf("%s tree %d node %d (C=%v): closed form %v, RCT %v, relative %.3g",
+						m.Name(), i, u, tr.Contribution(u), got[u], want[u], d)
+				}
+			}
+		}
+	}
+	t.Logf("largest relative distance from the RCT evaluation: %.3g", worst)
+}
+
+func TestPowInt(t *testing.T) {
+	for _, x := range []float64{0, 1.0 / 3, 0.6, 2} {
+		for n := 0; n < 70; n++ {
+			want := math.Pow(x, float64(n))
+			if got := powInt(x, n); !numeric.AlmostEqual(got, want, 1e-14) {
+				t.Fatalf("powInt(%v, %d) = %v, want %v", x, n, got, want)
+			}
+		}
+	}
+}
+
+// TestClosedFormHugeContributions folds chains longer than an int can
+// count, under a mu whose multiples round: every reward stays finite,
+// non-negative and within budget, and ChainLength saturates.
+func TestClosedFormHugeContributions(t *testing.T) {
+	p := core.DefaultParams()
+	for _, mu := range []float64{1, 0.3, 7} {
+		m := mustTDRM(t, p, 0.36, mu, 1.0/3, 1.0/3)
+		for _, c := range []float64{1e16 + 2, 1e17, 1e19, 1e20, 1e300} {
+			tr := tree.FromSpecs(tree.Chain(1, c, 2))
+			r, err := m.Rewards(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range tr.Nodes() {
+				if math.IsInf(r[u], 0) || math.IsNaN(r[u]) {
+					t.Fatalf("mu=%v C=%v: node %d rewarded %v", mu, c, u, r[u])
+				}
+			}
+			if err := core.Audit(m, tr, r); err != nil {
+				t.Fatalf("mu=%v C=%v: %v", mu, c, err)
+			}
+		}
+	}
+	if n := ChainLength(1e300, 1); n != math.MaxInt {
+		t.Fatalf("ChainLength(1e300, 1) = %d, want math.MaxInt", n)
 	}
 }

@@ -97,18 +97,8 @@ func (t *Tree) Total() float64 {
 // SubtreeSums computes C(T_u) for every node in one bottom-up pass.
 // The returned slice is indexed by NodeID.
 func (t *Tree) SubtreeSums() []float64 {
-	return t.SubtreeSumsInto(nil)
-}
-
-// SubtreeSumsInto is SubtreeSums writing into dst, reusing its backing
-// array when capacity allows — the allocation-free variant used by the
-// RewardsInto fast paths.
-func (t *Tree) SubtreeSumsInto(dst []float64) []float64 {
 	n := t.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	sums := dst[:n]
+	sums := make([]float64, n)
 	copy(sums, t.contrib)
 	// IDs are topological (parent < child), so a reverse scan is bottom-up.
 	for id := n - 1; id > 0; id-- {

@@ -7,7 +7,7 @@
 // time (the PR 4 recovered-reward-table bug class).
 //
 // In the deterministic packages (tree, core, numeric, the mechanism
-// packages, incremental, sybil, analysis) the analyzer flags:
+// packages, sybil, analysis) the analyzer flags:
 //
 //  1. floating-point accumulation (x += v, x = x + v) inside a
 //     `for range` over a map — map iteration order is randomized per
@@ -39,13 +39,14 @@ func New() *vet.Analyzer {
 }
 
 // deterministicPackages names the packages whose outputs must be
-// byte-reproducible: the tree and numeric substrate, every mechanism,
-// the incremental engines, the Sybil search, and reward attribution.
+// byte-reproducible: the tree and numeric substrate, every mechanism
+// (whose local forms also maintain the served rewards), the Sybil
+// search, and reward attribution.
 var deterministicPackages = map[string]bool{
 	"tree": true, "core": true, "numeric": true,
 	"geometric": true, "cdrm": true, "tdrm": true, "emek": true,
 	"lottree": true, "mlm": true,
-	"incremental": true, "sybil": true, "analysis": true,
+	"sybil": true, "analysis": true,
 }
 
 func run(pass *vet.Pass) {
