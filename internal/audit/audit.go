@@ -9,9 +9,9 @@
 // Suspicion is tracked per subtree root with hysteresis: each scan that
 // re-detects a shape pulls the root's score toward the shape's severity
 // (EWMA), each clean scan decays it, and a root is flagged once the
-// score crosses FlagScore and unflagged only when it falls below
-// ClearScore. With AutoQuarantine, flagged roots whose shape severity
-// clears QuarantineSeverity are quarantined from payout through the
+// score crosses flagScore and unflagged only when it falls below
+// clearScore. With AutoQuarantine, flagged roots whose shape severity
+// clears quarantineSeverity are quarantined from payout through the
 // journaled quarantine path. Only the exact equal-split signatures —
 // ε-chains and star bursts — cross that gate: organic growth draws
 // contributions from a continuum, so exact equality is measure-zero
@@ -45,39 +45,42 @@ type Source interface {
 	QuarantineCount() int
 }
 
-// Config tunes the auditor. Zero values select the defaults.
-type Config struct {
-	// MinChainDepth is the minimum single-child chain length (number of
-	// identities) reported as a chain shape. Default 4.
-	MinChainDepth int
-	// MinStarFanout is the minimum equal-contribution sibling group
-	// reported as a star burst. Default 6.
-	MinStarFanout int
-	// Tolerance is the relative tolerance for "equal contribution"
-	// comparisons. Default 1e-9.
-	Tolerance float64
-	// Alpha is the EWMA gain pulling a root's score toward the detected
-	// severity on each confirming scan. Default 0.5.
-	Alpha float64
-	// Decay multiplies a tracked score on each scan that no longer
-	// detects the shape. Default 0.4.
-	Decay float64
-	// FlagScore is the score at which a root becomes flagged.
-	// Default 0.6 — canonical shapes flag after two confirming scans.
-	FlagScore float64
-	// ClearScore is the score below which a flagged root unflags.
-	// Default 0.3 — roughly two clean scans after a flag.
-	ClearScore float64
-	// QuarantineSeverity gates AutoQuarantine on the shape's base
-	// severity (before any probe boost). Default 0.85, which admits
-	// ε-chains (1.0) and star bursts (0.9) but not deep chains (0.8):
-	// honest trees grow irregular chains naturally, so chains — even
-	// probe-confirmed ones — always need an operator.
-	QuarantineSeverity float64
-	// MaxProbeNodes bounds the sybil-probe footprint (identities plus
+// Auditor tuning: canonical shapes flag after two confirming scans and
+// unflag roughly two clean scans after a flag.
+const (
+	// minChainDepth is the minimum single-child chain length (number of
+	// identities) reported as a chain shape.
+	minChainDepth = 4
+	// minStarFanout is the minimum equal-contribution sibling group
+	// reported as a star burst.
+	minStarFanout = 6
+	// tolerance is the relative tolerance for "equal contribution"
+	// comparisons.
+	tolerance = 1e-9
+	// alpha is the EWMA gain pulling a root's score toward the detected
+	// severity on each confirming scan.
+	alpha = 0.5
+	// decay multiplies a tracked score on each scan that no longer
+	// detects the shape.
+	decay = 0.4
+	// flagScore is the score at which a root becomes flagged.
+	flagScore = 0.6
+	// clearScore is the score below which a flagged root unflags.
+	clearScore = 0.3
+	// quarantineSeverity gates AutoQuarantine on the shape's base
+	// severity (before any probe boost). It admits ε-chains (1.0) and
+	// star bursts (0.9) but not deep chains (0.8): honest trees grow
+	// irregular chains naturally, so chains — even probe-confirmed
+	// ones — always need an operator.
+	quarantineSeverity = 0.85
+	// maxProbeNodes bounds the sybil-probe footprint (identities plus
 	// re-attached child subtree nodes); larger candidates skip the
-	// probe. Default 512.
-	MaxProbeNodes int
+	// probe.
+	maxProbeNodes = 512
+)
+
+// Config configures the auditor.
+type Config struct {
 	// AutoQuarantine lets the auditor quarantine flagged high-severity
 	// roots itself (through Source.Quarantine).
 	AutoQuarantine bool
@@ -85,37 +88,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Labels are the metric labels (e.g. "campaign", id).
 	Labels []string
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinChainDepth <= 0 {
-		c.MinChainDepth = 4
-	}
-	if c.MinStarFanout <= 0 {
-		c.MinStarFanout = 6
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-9
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.4
-	}
-	if c.FlagScore <= 0 {
-		c.FlagScore = 0.6
-	}
-	if c.ClearScore <= 0 {
-		c.ClearScore = 0.3
-	}
-	if c.QuarantineSeverity <= 0 {
-		c.QuarantineSeverity = 0.85
-	}
-	if c.MaxProbeNodes <= 0 {
-		c.MaxProbeNodes = 512
-	}
-	return c
 }
 
 // Finding is one scored suspect subtree in the audit report.
@@ -131,8 +103,8 @@ type Finding struct {
 	Score float64 `json:"score"`
 	// Severity is the last-detected shape severity in [0, 1].
 	Severity float64 `json:"severity"`
-	// Flagged reports whether Score has crossed FlagScore (and not yet
-	// fallen below ClearScore).
+	// Flagged reports whether Score has crossed flagScore (and not yet
+	// fallen below clearScore).
 	Flagged bool `json:"flagged"`
 	// Members are the suspected identity names (the shape witness).
 	Members []string `json:"members"`
@@ -218,7 +190,7 @@ var shapes = []string{ShapeEpsilonChain, ShapeChain, ShapeStar}
 // pass, so commits from before the auditor attached are never missed.
 func New(cfg Config, src Source) *Auditor {
 	a := &Auditor{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		src:    src,
 		dirty:  make(map[string]struct{}),
 		full:   true,
@@ -351,7 +323,7 @@ func (a *Auditor) Scan() Stats {
 
 	detected := make(map[string]detection)
 	for _, id := range order {
-		for _, d := range detectShapes(t, id, a.cfg) {
+		for _, d := range detectShapes(t, id) {
 			key := d.rootName(t)
 			if prev, ok := detected[key]; ok && prev.severity >= d.severity {
 				continue
@@ -365,7 +337,7 @@ func (a *Auditor) Scan() Stats {
 	// direct evidence the arrangement games the mechanism.
 	mech := a.src.Mechanism()
 	for key, d := range detected {
-		gain, ok := probeGain(mech, t, d.members, a.cfg.MaxProbeNodes)
+		gain, ok := probeGain(mech, t, d.members, maxProbeNodes)
 		if !ok {
 			continue
 		}
@@ -396,19 +368,19 @@ func (a *Auditor) Scan() Stats {
 			sc = &suspect{firstScan: scan}
 			a.scores[key] = sc
 		}
-		sc.score += a.cfg.Alpha * (d.severity - sc.score)
+		sc.score += alpha * (d.severity - sc.score)
 		sc.shape = d.shape
 		sc.severity = d.severity
 		sc.members = d.memberNames(t)
 		sc.probeGain = d.probeGain
 		sc.lastScan = scan
-		if !sc.flagged && sc.score >= a.cfg.FlagScore {
+		if !sc.flagged && sc.score >= flagScore {
 			sc.flagged = true
 			if c := a.metricFindings[sc.shape]; c != nil {
 				c.Inc()
 			}
 		}
-		if a.cfg.AutoQuarantine && sc.flagged && !sc.autoQuarantined && shapeSeverity(sc.shape) >= a.cfg.QuarantineSeverity {
+		if a.cfg.AutoQuarantine && sc.flagged && !sc.autoQuarantined && shapeSeverity(sc.shape) >= quarantineSeverity {
 			targets := d.quarantineTargets(t)
 			pending := targets[:0]
 			for _, name := range targets {
@@ -429,8 +401,8 @@ func (a *Auditor) Scan() Stats {
 		}
 		// Every suspect was a candidate this scan (or the scan was
 		// full), so no detection means the shape is gone: decay.
-		sc.score *= a.cfg.Decay
-		if sc.flagged && sc.score < a.cfg.ClearScore {
+		sc.score *= decay
+		if sc.flagged && sc.score < clearScore {
 			sc.flagged = false
 		}
 		if !sc.flagged && sc.score < dropScore {

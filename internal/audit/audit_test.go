@@ -88,7 +88,7 @@ func TestHysteresis(t *testing.T) {
 		t.Fatalf("second scan: %+v, want the suspect flagged", st)
 	}
 	fd, _ = findingFor(a.Report(), head)
-	if !fd.Flagged || fd.Score < a.cfg.FlagScore {
+	if !fd.Flagged || fd.Score < flagScore {
 		t.Fatalf("after two scans: %+v, want flagged", fd)
 	}
 
@@ -141,7 +141,7 @@ func TestAutoQuarantine(t *testing.T) {
 		t.Fatalf("quarantined before the flag threshold: %v", src.quarantined)
 	}
 	st := a.Scan()
-	// ε-chain severity 1.0 ≥ QuarantineSeverity: the head — and only
+	// ε-chain severity 1.0 ≥ quarantineSeverity: the head — and only
 	// the head, masking covers the subtree — is quarantined.
 	if st.Quarantined != 1 || !src.quarantined[head] || len(src.quarantined) != 1 {
 		t.Fatalf("stats %+v quarantined %v, want exactly the chain head %q", st, src.quarantined, head)

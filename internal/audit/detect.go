@@ -103,14 +103,14 @@ func chainHead(t *tree.Tree, u tree.NodeID) tree.NodeID {
 
 // detectShapes runs every detector anchored at id, returning zero, one,
 // or two detections (a node can head a chain and center a star).
-func detectShapes(t *tree.Tree, id tree.NodeID, cfg Config) []detection {
+func detectShapes(t *tree.Tree, id tree.NodeID) []detection {
 	var out []detection
 	if id != tree.Root && chainHead(t, id) == id {
-		if d, ok := detectChain(t, id, cfg); ok {
+		if d, ok := detectChain(t, id); ok {
 			out = append(out, d)
 		}
 	}
-	if d, ok := detectStar(t, id, cfg); ok {
+	if d, ok := detectStar(t, id); ok {
 		out = append(out, d)
 	}
 	return out
@@ -118,21 +118,21 @@ func detectShapes(t *tree.Tree, id tree.NodeID, cfg Config) []detection {
 
 // detectChain matches the maximal single-child chain headed at head:
 // nodes v1..vk where each of v1..v(k-1) has exactly one child. Chains
-// of MinChainDepth or more are suspicious; equal tail blocks with the
+// of minChainDepth or more are suspicious; equal tail blocks with the
 // head holding at most one block (the TDRM reward-tree split) upgrade
 // the match to an ε-chain.
-func detectChain(t *tree.Tree, head tree.NodeID, cfg Config) (detection, bool) {
+func detectChain(t *tree.Tree, head tree.NodeID) (detection, bool) {
 	members := []tree.NodeID{head}
 	cur := head
 	for t.NumChildren(cur) == 1 {
 		cur = t.FirstChild(cur)
 		members = append(members, cur)
 	}
-	if len(members) < cfg.MinChainDepth {
+	if len(members) < minChainDepth {
 		return detection{}, false
 	}
 	d := detection{shape: ShapeChain, severity: severityChain, root: head, members: members}
-	if isEpsilonSplit(t, members, cfg.Tolerance) {
+	if isEpsilonSplit(t, members) {
 		d.shape = ShapeEpsilonChain
 		d.severity = severityEpsilonChain
 	}
@@ -142,7 +142,7 @@ func detectChain(t *tree.Tree, head tree.NodeID, cfg Config) (detection, bool) {
 // isEpsilonSplit reports whether the chain's contributions look like an
 // equal-block split: all tail blocks equal (within tolerance) and
 // positive, and the head carrying no more than one block.
-func isEpsilonSplit(t *tree.Tree, members []tree.NodeID, tol float64) bool {
+func isEpsilonSplit(t *tree.Tree, members []tree.NodeID) bool {
 	if len(members) < 2 {
 		return false
 	}
@@ -151,20 +151,20 @@ func isEpsilonSplit(t *tree.Tree, members []tree.NodeID, tol float64) bool {
 		return false
 	}
 	for _, id := range members[2:] {
-		if !relEqual(t.Contribution(id), block, tol) {
+		if !relEqual(t.Contribution(id), block) {
 			return false
 		}
 	}
 	head := t.Contribution(members[0])
-	return head <= block*(1+tol)
+	return head <= block*(1+tolerance)
 }
 
 // detectStar matches a burst of equal-contribution children under
 // center, at most one of which has children of its own (the attack
 // attaches the real solicitees under one identity). Zero-contribution
 // children never group — freshly joined honest recruits all sit at 0.
-func detectStar(t *tree.Tree, center tree.NodeID, cfg Config) (detection, bool) {
-	if t.NumChildren(center) < cfg.MinStarFanout {
+func detectStar(t *tree.Tree, center tree.NodeID) (detection, bool) {
+	if t.NumChildren(center) < minStarFanout {
 		return detection{}, false
 	}
 	type kc struct {
@@ -177,7 +177,7 @@ func detectStar(t *tree.Tree, center tree.NodeID, cfg Config) (detection, bool) 
 			group = append(group, kc{k, c})
 		}
 	}
-	if len(group) < cfg.MinStarFanout {
+	if len(group) < minStarFanout {
 		return detection{}, false
 	}
 	sort.Slice(group, func(i, j int) bool {
@@ -189,7 +189,7 @@ func detectStar(t *tree.Tree, center tree.NodeID, cfg Config) (detection, bool) 
 	// Longest run of equal contributions.
 	bestLo, bestHi, lo := 0, 0, 0
 	for hi := 1; hi <= len(group); hi++ {
-		if hi < len(group) && relEqual(group[hi].c, group[lo].c, cfg.Tolerance) {
+		if hi < len(group) && relEqual(group[hi].c, group[lo].c) {
 			continue
 		}
 		if hi-lo > bestHi-bestLo {
@@ -197,7 +197,7 @@ func detectStar(t *tree.Tree, center tree.NodeID, cfg Config) (detection, bool) 
 		}
 		lo = hi
 	}
-	if bestHi-bestLo < cfg.MinStarFanout {
+	if bestHi-bestLo < minStarFanout {
 		return detection{}, false
 	}
 	run := group[bestLo:bestHi]
@@ -219,10 +219,10 @@ func detectStar(t *tree.Tree, center tree.NodeID, cfg Config) (detection, bool) 
 }
 
 // relEqual compares with relative tolerance (absolute near zero).
-func relEqual(a, b, tol float64) bool {
+func relEqual(a, b float64) bool {
 	diff := math.Abs(a - b)
-	if diff <= tol {
+	if diff <= tolerance {
 		return true
 	}
-	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
+	return diff <= tolerance*math.Max(math.Abs(a), math.Abs(b))
 }

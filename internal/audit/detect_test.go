@@ -6,8 +6,6 @@ import (
 	"incentivetree/internal/tree"
 )
 
-func cfg() Config { return Config{}.withDefaults() }
-
 // buildChain grows a single-child chain of n identities under parent,
 // contributing parts[i] (or 1.0 when parts is nil), and returns the ids
 // head-first.
@@ -54,7 +52,7 @@ func TestDetectEpsilonChain(t *testing.T) {
 	tr.MustAdd(sponsor, 3)
 	ids := buildChain(tr, sponsor, 4, []float64{0.7, 0.7, 0.7, 0.7})
 
-	d, ok := detectChain(tr, ids[0], cfg())
+	d, ok := detectChain(tr, ids[0])
 	if !ok {
 		t.Fatal("equal-block chain not detected")
 	}
@@ -67,7 +65,7 @@ func TestDetectEpsilonChain(t *testing.T) {
 
 	// Head may hold at most one block: a heavier head is a plain chain.
 	tr.SetContribution(ids[0], 1.5)
-	d, ok = detectChain(tr, ids[0], cfg())
+	d, ok = detectChain(tr, ids[0])
 	if !ok || d.shape != ShapeChain {
 		t.Fatalf("heavy-head chain: shape %q ok=%v, want plain chain", d.shape, ok)
 	}
@@ -78,11 +76,11 @@ func TestDetectChainDepthGate(t *testing.T) {
 	sponsor := tr.MustAdd(tree.Root, 2)
 	tr.MustAdd(sponsor, 3)
 	ids := buildChain(tr, sponsor, 3, []float64{0.5, 1.7, 2.3})
-	if _, ok := detectChain(tr, ids[0], cfg()); ok {
-		t.Fatal("depth-3 chain detected below MinChainDepth=4")
+	if _, ok := detectChain(tr, ids[0]); ok {
+		t.Fatal("depth-3 chain detected below minChainDepth=4")
 	}
 	buildChain(tr, ids[2], 1, []float64{0.9}) // now depth 4
-	d, ok := detectChain(tr, ids[0], cfg())
+	d, ok := detectChain(tr, ids[0])
 	if !ok || d.shape != ShapeChain || d.severity != severityChain {
 		t.Fatalf("irregular depth-4 chain: %+v ok=%v, want chain/0.8", d, ok)
 	}
@@ -95,7 +93,7 @@ func TestDetectStar(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		kids = append(kids, tr.MustAdd(center, 1.25))
 	}
-	d, ok := detectStar(tr, center, cfg())
+	d, ok := detectStar(tr, center)
 	if !ok || d.shape != ShapeStar || len(d.members) != 7 {
 		t.Fatalf("star burst: %+v ok=%v, want 7-member star", d, ok)
 	}
@@ -103,11 +101,11 @@ func TestDetectStar(t *testing.T) {
 	// One member recruiting is the attack's re-attachment point; two
 	// recruiting members look organic.
 	tr.MustAdd(kids[0], 0.4)
-	if _, ok := detectStar(tr, center, cfg()); !ok {
+	if _, ok := detectStar(tr, center); !ok {
 		t.Fatal("star with one recruiting member rejected")
 	}
 	tr.MustAdd(kids[1], 0.4)
-	if _, ok := detectStar(tr, center, cfg()); ok {
+	if _, ok := detectStar(tr, center); ok {
 		t.Fatal("star with two recruiting members detected")
 	}
 }
@@ -123,7 +121,7 @@ func TestDetectStarIgnoresZeroAndUnequal(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.MustAdd(center, 0)
 	}
-	if _, ok := detectStar(tr, center, cfg()); ok {
+	if _, ok := detectStar(tr, center); ok {
 		t.Fatal("zero-contribution joins counted toward a star burst")
 	}
 	// Unequal positive contributions never group either.
@@ -132,7 +130,7 @@ func TestDetectStarIgnoresZeroAndUnequal(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr2.MustAdd(c2, 0.5+0.31*float64(i))
 	}
-	if _, ok := detectStar(tr2, c2, cfg()); ok {
+	if _, ok := detectStar(tr2, c2); ok {
 		t.Fatal("unequal siblings detected as a star")
 	}
 }
@@ -142,10 +140,10 @@ func TestDetectShapesAnchorsAtChainHeadOnly(t *testing.T) {
 	sponsor := tr.MustAdd(tree.Root, 2)
 	tr.MustAdd(sponsor, 3)
 	ids := buildChain(tr, sponsor, 5, nil)
-	if ds := detectShapes(tr, ids[2], cfg()); len(ds) != 0 {
+	if ds := detectShapes(tr, ids[2]); len(ds) != 0 {
 		t.Fatalf("mid-chain node produced detections %+v", ds)
 	}
-	ds := detectShapes(tr, ids[0], cfg())
+	ds := detectShapes(tr, ids[0])
 	if len(ds) != 1 || ds[0].shape != ShapeEpsilonChain {
 		t.Fatalf("head detections %+v, want one ε-chain", ds)
 	}

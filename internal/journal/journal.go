@@ -309,9 +309,10 @@ func (e *TornTailError) Unwrap() []error { return []error{ErrTornTail, e.Cause} 
 // Read decodes all events from r, checking sequence continuity. A
 // malformed final record (crash mid-append) is tolerated: Read returns
 // every complete event plus a *TornTailError wrapping ErrTornTail.
-// Malformed records with events after them, sequence gaps anywhere,
-// and JSON-lines records (ErrJSONJournal) remain hard errors — they
-// mean mid-log corruption or a log to migrate, not a torn tail.
+// Malformed records with events after them (whole records hidden in
+// the damaged bytes included), sequence gaps anywhere, and JSON-lines
+// records (ErrJSONJournal) remain hard errors — they mean mid-log
+// corruption or a log to migrate, not a torn tail.
 func Read(r io.Reader) ([]Event, error) {
 	d := NewDecoder(r)
 	var out []Event

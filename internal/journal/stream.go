@@ -24,7 +24,8 @@ import (
 // live file that usually means a concurrent append is in flight, not
 // corruption, and the caller retries from Offset. A failed CRC or
 // malformed record with further content behind it is mid-log corruption
-// and stays a hard error, as does a JSON-lines record (ErrJSONJournal).
+// and stays a hard error, as does damage that runs to the end yet hides
+// a whole later record, and a JSON-lines record (ErrJSONJournal).
 // Blank lines are skipped: a replication stream uses them as
 // heartbeats. A Decoder that returned any error must not be reused; its
 // buffered reader may have consumed bytes past Offset.
@@ -93,15 +94,50 @@ func (d *Decoder) Next() (Event, error) {
 func (d *Decoder) nextUnknown(c byte) (Event, error) {
 	d.line++
 	cause := fmt.Errorf("%w: unknown record tag %#x", errBinaryRecord, c)
-	_, err := d.br.ReadBytes('\n')
+	line, err := d.br.ReadBytes('\n')
 	switch {
 	case err != nil && err != io.EOF:
 		return Event{}, fmt.Errorf("journal: scan: %w", err)
 	case err == io.EOF || !hasContent(d.br):
-		return Event{}, &TornTailError{Offset: d.offset, Line: d.line, Cause: cause}
+		return Event{}, d.tornTail(line, cause)
 	default:
 		return Event{}, fmt.Errorf("journal: record %d: %w", d.line, cause)
 	}
+}
+
+// tornTail classifies damage that starts at Offset and runs to the end
+// of the stream; rest holds its bytes, less any trailing whitespace
+// and zeros. It is a torn tail, repaired by truncating at Offset,
+// unless a whole record with a seq above the last good one decodes
+// somewhere in rest: then a corrupt tag or length prefix hides live
+// records, which a truncation would destroy, and the damage is
+// mid-log corruption.
+func (d *Decoder) tornTail(rest []byte, cause error) error {
+	for i := 1; i < len(rest); i++ {
+		if e, ok := recordAt(rest[i:]); ok && e.Seq > d.last {
+			return fmt.Errorf("journal: record %d: %w, yet record seq %d follows whole at byte %d",
+				d.line, cause, e.Seq, d.offset+int64(i))
+		}
+	}
+	return &TornTailError{Offset: d.offset, Line: d.line, Cause: cause}
+}
+
+// recordAt decodes the binary record at the start of b, if b starts
+// with a whole one: tag, canonical length, payload and matching CRC.
+func recordAt(b []byte) (Event, bool) {
+	if len(b) == 0 || b[0] != tagBinaryV1 {
+		return Event{}, false
+	}
+	plen, n := binary.Uvarint(b[1:])
+	if n <= 0 || n != uvarintLen(plen) || plen > maxBinaryPayload || uint64(len(b)-1-n) < plen+4 {
+		return Event{}, false
+	}
+	payload, sum := b[1+n:1+n+int(plen)], b[1+n+int(plen):]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum) {
+		return Event{}, false
+	}
+	e, err := decodeBinaryPayload(payload)
+	return e, err == nil
 }
 
 // checkSeq enforces sequence contiguity and records e as consumed.
@@ -123,15 +159,20 @@ func (d *Decoder) nextBinary() (Event, error) {
 	if _, err := d.br.ReadByte(); err != nil { // tag
 		return Event{}, fmt.Errorf("journal: scan: %w", err)
 	}
-	fail := func(cause error) (Event, error) {
-		return Event{}, &TornTailError{Offset: d.offset, Line: d.line, Cause: cause}
-	}
 	plen, n, err := readStreamUvarint(d.br)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fail(fmt.Errorf("%w: truncated length prefix", errBinaryRecord))
+			// Nothing follows the partial prefix to search.
+			return Event{}, d.tornTail(nil, fmt.Errorf("%w: truncated length prefix", errBinaryRecord))
 		}
 		return Event{}, fmt.Errorf("journal: record %d: %w", d.line, err)
+	}
+	// fail hands tornTail the record's bytes up to the end of frame:
+	// readStreamUvarint takes only canonical varints, so re-encoding
+	// plen gives back the bytes it read.
+	fail := func(cause error, frame []byte) (Event, error) {
+		raw := binary.AppendUvarint([]byte{tagBinaryV1}, plen)
+		return Event{}, d.tornTail(append(raw, frame...), cause)
 	}
 	if plen > maxBinaryPayload {
 		// A length this large is a corrupt prefix, not a real record;
@@ -139,13 +180,13 @@ func (d *Decoder) nextBinary() (Event, error) {
 		// malformed record.
 		cause := fmt.Errorf("%w: declared payload of %d bytes", errBinaryRecord, plen)
 		if !hasContent(d.br) {
-			return fail(cause)
+			return fail(cause, nil)
 		}
 		return Event{}, fmt.Errorf("journal: record %d: %w", d.line, cause)
 	}
 	frame, err := readFrame(d.br, int(plen)+4) // payload + CRC
 	if err != nil {
-		return fail(fmt.Errorf("%w: truncated record: %v", errBinaryRecord, err))
+		return fail(fmt.Errorf("%w: truncated record: %v", errBinaryRecord, err), frame)
 	}
 	payload, sum := frame[:plen], binary.LittleEndian.Uint32(frame[plen:])
 	var decErr error
@@ -165,34 +206,31 @@ func (d *Decoder) nextBinary() (Event, error) {
 	case !hasContent(d.br):
 		// The damaged record is the last thing in the stream: a torn
 		// tail (crash mid-append), repairable by truncating at Offset.
-		return fail(decErr)
+		return fail(decErr, frame)
 	default:
 		return Event{}, fmt.Errorf("journal: record %d: %w", d.line, decErr)
 	}
 }
 
-// readFrame reads exactly n bytes from br. Large frames are read via a
-// growing buffer rather than one up-front allocation, so a corrupt
-// length prefix just under maxBinaryPayload cannot force a 64 MiB
-// allocation for a stream that ends after a handful of bytes.
+// readFrame reads exactly n bytes from br, returning what it read
+// before an error too. Large frames are read via a growing buffer
+// rather than one up-front allocation, so a corrupt length prefix just
+// under maxBinaryPayload cannot force a 64 MiB allocation for a stream
+// that ends after a handful of bytes.
 func readFrame(br *bufio.Reader, n int) ([]byte, error) {
 	const eager = 64 << 10
 	if n <= eager {
 		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+		got, err := io.ReadFull(br, buf)
+		return buf[:got], err
 	}
 	var buf bytes.Buffer
 	buf.Grow(eager)
-	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+	_, err := io.CopyN(&buf, br, int64(n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), err
 }
 
 // readStreamUvarint reads a canonical uvarint from br, returning the

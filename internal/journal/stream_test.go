@@ -207,6 +207,72 @@ func TestReadZeroFilledTail(t *testing.T) {
 	}
 }
 
+// TestReadRefusesTruncationOverHiddenRecords: damage that, as parsed,
+// runs to the end of the log is still mid-log corruption when a whole
+// later record hides in the bytes a repair would cut: a corrupt length
+// prefix whose frame runs past EOF, or an unknown tag byte with no
+// later newline. Truncating at either would lose record 3.
+func TestReadRefusesTruncationOverHiddenRecords(t *testing.T) {
+	first := rec(t, Event{Seq: 1, Kind: KindJoin, Name: "ada"})
+	second := rec(t, Event{Seq: 2, Kind: KindContribute, Name: "ada", Amount: 2})
+	third := rec(t, Event{Seq: 3, Kind: KindJoin, Name: "bo", Sponsor: "ada"})
+	if bytes.IndexByte(cat(second, third), '\n') >= 0 {
+		t.Fatal("records 2 and 3 hold a newline; the unknown-tag case needs none")
+	}
+	for name, damage := range map[string]func([]byte){
+		"length prefix past EOF": func(r []byte) { r[1] = 0x7f },
+		"unknown tag":            func(r []byte) { r[0] = 'Q' },
+	} {
+		bad := bytes.Clone(second)
+		damage(bad)
+		events, err := Read(bytes.NewReader(cat(first, bad, third)))
+		if err == nil || errors.Is(err, ErrTornTail) || events != nil {
+			t.Errorf("%s: Read = %d events, %v; want a hard error", name, len(events), err)
+		}
+	}
+}
+
+// TestReadRepairsTornBatch: a group commit cut anywhere inside its
+// write, with or without a zero-filled tail behind the cut, is a torn
+// tail at the last whole record.
+func TestReadRepairsTornBatch(t *testing.T) {
+	var log bytes.Buffer
+	w := NewWriter(&log, 1)
+	if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{log.Len()}
+	batch, err := w.AppendBatch([]Event{
+		{Kind: KindJoin, Name: "bo", Sponsor: "ada"},
+		{Kind: KindContribute, Name: "bo", Amount: 3},
+		{Kind: KindContribute, Name: "ada", Amount: 1.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range batch {
+		ends = append(ends, ends[len(ends)-1]+len(rec(t, e)))
+	}
+	full := log.Bytes()
+	for cut := ends[0] + 1; cut < len(full); cut++ {
+		whole := 0
+		for whole+1 < len(ends) && ends[whole+1] <= cut {
+			whole++
+		}
+		for _, tail := range [][]byte{nil, make([]byte, 64)} {
+			if cut == ends[whole] && tail == nil {
+				continue // a clean record boundary, not a torn tail
+			}
+			events, err := Read(bytes.NewReader(cat(full[:cut], tail)))
+			var torn *TornTailError
+			if !errors.As(err, &torn) || torn.Offset != int64(ends[whole]) || len(events) != whole+1 {
+				t.Fatalf("cut at %d (+%d zeros): %d events, %v; want %d events and a torn tail at %d",
+					cut, len(tail), len(events), err, whole+1, ends[whole])
+			}
+		}
+	}
+}
+
 // TestEncoderMatchesWriterBytes pins the replication invariant: a
 // re-encoded event is byte-identical to what the primary's Writer
 // appended, so follower-side hashes of applied records equal hashes of

@@ -183,8 +183,9 @@ func (s *journalStream) closeFile() {
 }
 
 // sendHeader commits the 200 response. The committed sequence is
-// captured at this moment; records streamed later may exceed it and
-// the follower takes the max.
+// captured at this moment; records streamed later may exceed it (they
+// were committed by the time their scan began) and the follower takes
+// the max.
 func (s *journalStream) sendHeader() {
 	if s.enc != nil {
 		return
@@ -202,9 +203,13 @@ func (s *journalStream) flush() {
 	}
 }
 
-// scan streams every complete record >= next currently in the file.
-// It returns stop=true when the response cannot usefully continue
-// (write error, mid-log corruption, or a compaction gap).
+// scan streams every committed record >= next currently in the file.
+// A record above the committed seq is not streamed: its append may yet
+// fail and be rolled back, and the next batch then reuses its seq. The
+// scan stops at its start, so it streams once committed, or its
+// replacement does. It returns stop=true when the response cannot
+// usefully continue (write error, mid-log corruption, or a compaction
+// gap).
 func (s *journalStream) scan() (stop bool) {
 	if s.f == nil {
 		return false
@@ -212,8 +217,10 @@ func (s *journalStream) scan() (stop bool) {
 	if _, err := s.f.Seek(s.offset, io.SeekStart); err != nil {
 		return true
 	}
+	committed := s.c.LastSeq()
 	dec := journal.NewDecoder(s.f)
 	for {
+		start := dec.Offset()
 		e, err := dec.Next()
 		if err != nil {
 			s.offset += dec.Offset()
@@ -224,6 +231,10 @@ func (s *journalStream) scan() (stop bool) {
 		}
 		if e.Seq < s.next {
 			continue // prefix the follower already has
+		}
+		if e.Seq > committed {
+			s.offset += start
+			return false
 		}
 		if e.Seq > s.next {
 			// The records between next and e.Seq no longer exist here —

@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
 	"incentivetree/internal/treegen"
 )
@@ -34,22 +32,7 @@ var goldenTables = map[string][2]string{
 // leaderboard) and quarantines one participant with descendants.
 func goldenServer(t *testing.T, name string) *Server {
 	t.Helper()
-	m, err := experiments.ByName(core.DefaultParams(), name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(m)
-	sc := treegen.Mix(rand.New(rand.NewSource(1)), treegen.ScenarioConfig{Honest: 300, EpsilonChains: 2, Stars: 2})
-	for _, op := range sc.Ops() {
-		if op.Kind == treegen.OpJoin {
-			err = s.Join(op.Name, op.Sponsor)
-		} else {
-			err = s.Contribute(op.Name, op.Amount)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	s, sc := mixServer(t, name, treegen.ScenarioConfig{Honest: 300, EpsilonChains: 2, Stars: 2})
 	for i := 0; i < 4; i++ {
 		tie := fmt.Sprintf("tie-%d", i)
 		if err := s.Join(tie, ""); err != nil {

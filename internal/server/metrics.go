@@ -123,6 +123,10 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 			_, settled, claimed, _ := s.LedgerView()
 			return settled - claimed
 		}, labels...)
+	s.viewHits = reg.Counter("itree_rewards_cache_hits_total",
+		"Reward-table reads served from the versioned cache.", labels...)
+	s.viewMisses = reg.Counter("itree_rewards_cache_misses_total",
+		"Reward-table cache rebuilds (one pass over the reward aggregates each).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
 }
 

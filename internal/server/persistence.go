@@ -133,7 +133,7 @@ func (s *Server) adoptState(st *journal.State) {
 	if s.ledger == nil {
 		s.ledger = journal.NewLedger()
 	}
-	// lastSeq may move backwards on a restore, but the cache version must
+	// lastSeq may move backwards on a restore, but the view version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
 	if s.commitHook != nil {
@@ -181,7 +181,7 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 	}
 	s.refoldLocked(touched)
 	if err != nil {
-		// Keep the cache from serving the partially mutated tree.
+		// Keep the read view from serving the partially mutated tree.
 		s.version++
 		return err
 	}

@@ -25,8 +25,8 @@ var (
 // /v1/rewards, /v1/leaderboard, and participant views, while raw
 // contributions — and hence every other participant's reward — stay
 // exactly as recorded. The flag is journaled (crash-recoverable,
-// replicated) and bumps the commit version so cached reward tables
-// rebuild immediately.
+// replicated) and bumps the commit version so the next table read
+// ranks afresh.
 func (s *Server) Quarantine(name string) error { return s.setQuarantine(name, true) }
 
 // Unquarantine clears a quarantine flag set by Quarantine.
@@ -64,8 +64,8 @@ func (s *Server) setQuarantine(name string, on bool) error {
 	} else {
 		delete(s.quarantined, name)
 	}
-	// The versioned read cache keys on the commit version, so this bump
-	// guarantees no pre-quarantine reward table is ever served again.
+	// The read view keys on the commit version, so this bump guarantees
+	// no pre-quarantine reward table is ever served again.
 	s.version++
 	return nil
 }

@@ -1,87 +1,89 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
-	"incentivetree/internal/query"
+	"incentivetree/internal/core"
+	"incentivetree/internal/tree"
 )
 
-// queryView is the cached read-side view of one committed state: the
-// full reward table sorted by name (GET /v1/rewards) and the same
-// participants ranked by reward (GET /v1/leaderboard). One view is
-// built per committed batch version, so bursts of reads between writes
-// cost one pass over the reward aggregates total.
-type queryView struct {
-	rewards rewardsResponse
-	leaders []Participant // by reward desc, name asc on ties
+// readView is the read side of one committed version: the served
+// reward table (quarantined subtrees read zero), the mask that flags
+// them (nil when no quarantine is active), and every participant id
+// ranked by reward descending, then name ascending. The table reads
+// build Participant views only for the rows they return.
+type readView struct {
+	version uint64
+	rewards core.Rewards
+	mask    []bool
+	ranked  []tree.NodeID
 }
 
-// initCache wires the versioned read cache; called at the end of New
-// so it sees the final metrics registry and labels.
-func (s *Server) initCache() {
-	s.cache = query.New(s.stateVersion, s.buildQueryView)
-	if s.metrics != nil {
-		s.cache.Counters(
-			s.metrics.Counter("itree_rewards_cache_hits_total",
-				"Reward-table reads served from the versioned cache.", s.labels...),
-			s.metrics.Counter("itree_rewards_cache_misses_total",
-				"Reward-table cache rebuilds (one pass over the reward aggregates each).", s.labels...),
-		)
+// masked reports whether v withholds u's payout.
+func (v *readView) masked(u tree.NodeID) bool { return v.mask != nil && v.mask[u] }
+
+// readViewLocked returns the view of the current version, building it
+// on the version's first read. A hit is one atomic load; concurrent
+// misses on one version build once. Callers hold the read lock, which
+// keeps s.version fixed for the whole call and for as long as they use
+// the view; the view mutex nests inside it.
+func (s *Server) readViewLocked() *readView {
+	if v := s.view.Load(); v != nil && v.version == s.version {
+		s.viewHits.Inc()
+		return v
 	}
-}
-
-// stateVersion reads the commit version: bumped once per applied batch
-// and per state restore, so any cached view keyed to it is a
-// consistent batch-boundary snapshot — never a torn mid-batch state
-// (batches hold the write lock end to end).
-func (s *Server) stateVersion() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
-
-// buildQueryView reads the served reward table once and derives both
-// read views under the read lock, returning the version they
-// correspond to.
-func (s *Server) buildQueryView() (uint64, *queryView, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// servedRewardsLocked zeroes quarantined subtrees, so both views —
-	// and TotalReward, which sums the served table — reflect withheld
-	// payouts while Total (raw contribution) stays as recorded.
+	s.viewMu.Lock() //itreevet:ignore lockedcall the caller holds s.mu; viewMu is a second mutex nested inside it that serializes view builds
+	defer s.viewMu.Unlock()
+	if v := s.view.Load(); v != nil && v.version == s.version {
+		s.viewHits.Inc()
+		return v
+	}
+	s.viewMisses.Inc()
 	rewards, mask := s.servedRewardsLocked()
+	ranked := make([]tree.NodeID, s.tree.NumParticipants())
+	for i := range ranked {
+		ranked[i] = tree.NodeID(i + 1)
+	}
+	slices.SortFunc(ranked, func(a, b tree.NodeID) int {
+		if c := cmp.Compare(rewards[b], rewards[a]); c != 0 {
+			return c
+		}
+		return strings.Compare(s.tree.Label(a), s.tree.Label(b))
+	})
+	v := &readView{version: s.version, rewards: rewards, mask: mask, ranked: ranked}
+	s.view.Store(v)
+	return v
+}
+
+// handleRewards serves the full table in name order, which is
+// deterministic even across snapshot restores (they renumber node ids
+// in DFS preorder). The name order is sorted per request: only
+// operators and checks read the full table.
+func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
+	s.mu.RLock()
+	v := s.readViewLocked()
+	ids := slices.Clone(v.ranked)
+	slices.SortFunc(ids, func(a, b tree.NodeID) int {
+		return strings.Compare(s.tree.Label(a), s.tree.Label(b))
+	})
+	// TotalReward sums the served table, so it reflects withheld
+	// payouts while Total (raw contribution) stays as recorded.
 	resp := rewardsResponse{
 		Mechanism:    s.mech.Name(),
 		Total:        s.tree.Total(),
-		TotalReward:  rewards.Total(),
+		TotalReward:  v.rewards.Total(),
 		Budget:       s.mech.Params().Phi * s.tree.Total(),
-		Participants: make([]Participant, 0, s.tree.NumParticipants()),
+		Participants: make([]Participant, len(ids)),
 	}
-	for _, u := range s.tree.Nodes() {
-		resp.Participants = append(resp.Participants, s.viewOfLocked(u, rewards[u], mask != nil && mask[u]))
+	for i, u := range ids {
+		resp.Participants[i] = s.viewOfLocked(u, v.rewards[u], v.masked(u))
 	}
-	// Sorted by name so the table is deterministic even across snapshot
-	// restores, which renumber node ids in DFS preorder.
-	sort.Slice(resp.Participants, func(i, j int) bool {
-		return resp.Participants[i].Name < resp.Participants[j].Name
-	})
-	leaders := make([]Participant, len(resp.Participants))
-	copy(leaders, resp.Participants)
-	sort.SliceStable(leaders, func(i, j int) bool {
-		return leaders[i].Reward > leaders[j].Reward
-	})
-	return s.version, &queryView{rewards: resp, leaders: leaders}, nil
-}
-
-func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
-	view, err := s.cache.Get()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, view.rewards)
+	s.mu.RUnlock()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // leaderboardResponse is the wire format of GET /v1/leaderboard.
@@ -92,9 +94,9 @@ type leaderboardResponse struct {
 	Leaders      []Participant `json:"leaders"`
 }
 
-// handleLeaderboard serves the top-K participants by reward from the
-// versioned cache. ?k=N defaults to 10 and is clamped to the
-// participant count; a malformed or non-positive k is a 400.
+// handleLeaderboard serves the top-K participants by reward, ties by
+// name. ?k=N defaults to 10 and is clamped to the participant count; a
+// malformed or non-positive k is a 400.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 	k := 10
 	if q := r.URL.Query().Get("k"); q != "" {
@@ -105,18 +107,18 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	view, err := s.cache.Get()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		return
-	}
-	if k > len(view.leaders) {
-		k = len(view.leaders)
-	}
-	writeJSON(w, http.StatusOK, leaderboardResponse{
+	s.mu.RLock()
+	v := s.readViewLocked()
+	k = min(k, len(v.ranked))
+	resp := leaderboardResponse{
 		Mechanism:    s.mech.Name(),
 		K:            k,
-		Participants: len(view.leaders),
-		Leaders:      view.leaders[:k],
-	})
+		Participants: len(v.ranked),
+		Leaders:      make([]Participant, k),
+	}
+	for i, u := range v.ranked[:k] {
+		resp.Leaders[i] = s.viewOfLocked(u, v.rewards[u], v.masked(u))
+	}
+	s.mu.RUnlock()
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -27,9 +27,10 @@
 // O(n) pass. Every served reward equals the mechanism's Rewards bit for
 // bit. With WithBatching, writes flow through a group-commit ingest
 // pipeline (one lock acquisition, journal sync, and re-fold per batch;
-// full queues shed with 429); the reward table and leaderboard are
-// served from a versioned cache invalidated by commit version
-// (internal/query).
+// full queues shed with 429). The first table read of each committed
+// version ranks every participant once, by reward then name; after
+// that a leaderboard read builds only its k rows, and /v1/rewards
+// sorts the ranking by name and builds all n (see readpath.go).
 package server
 
 import (
@@ -39,13 +40,13 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"incentivetree/internal/audit"
 	"incentivetree/internal/core"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
-	"incentivetree/internal/query"
 	"incentivetree/internal/tree"
 )
 
@@ -57,8 +58,13 @@ type Server struct {
 	metrics   *obs.Registry // nil = uninstrumented
 	labels    []string      // metric labels from WithMetricsLabels
 	batching  *ingest.Options
-	committer *ingest.Committer        // non-nil iff WithBatching
-	cache     *query.Cache[*queryView] // versioned read-side views
+	committer *ingest.Committer // non-nil iff WithBatching
+
+	// view is the read view of one committed version (see readpath.go);
+	// viewMu serializes its builds and nests inside mu.
+	view                 atomic.Pointer[readView]
+	viewMu               sync.Mutex
+	viewHits, viewMisses *obs.Counter
 
 	mu   sync.RWMutex
 	tree *tree.Tree
@@ -89,7 +95,7 @@ type Server struct {
 	// operations (see settle_http.go).
 	settleObs *settleCounters
 	// version counts committed batches and state restores; it keys the
-	// read cache and, unlike lastSeq, never moves backwards in-process.
+	// read view and, unlike lastSeq, never moves backwards in-process.
 	version uint64
 }
 
@@ -100,11 +106,11 @@ func New(m core.Mechanism, opts ...Option) *Server {
 	if local == nil {
 		panic(fmt.Sprintf("server: mechanism %s has no local form", m.Name()))
 	}
-	s := &Server{mech: m, local: local, tree: tree.New(), agg: []float64{0}, byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger()}
+	s := &Server{mech: m, local: local, tree: tree.New(), agg: []float64{0}, byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger(),
+		viewHits: new(obs.Counter), viewMisses: new(obs.Counter)}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.initCache()
 	if s.batching != nil {
 		// Deferred past option application so the pipeline inherits the
 		// final registry/labels regardless of option order.
