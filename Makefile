@@ -63,14 +63,16 @@ benchcheck:
 # fuzzsmoke runs each native fuzz target for FUZZTIME: the journal
 # record decoder and the snapshot codec must reject arbitrary
 # corruption cleanly and round-trip accepted input byte-identically,
-# and the served rewards must equal full evaluation bit for bit under
-# arbitrary op streams, journal failures and recovery. Corpus finds are
+# applying and undoing any event batch must restore the journal state
+# bit for bit, and the served rewards must equal full evaluation bit
+# for bit under arbitrary op streams, journal failures and recovery. Corpus finds are
 # kept under testdata/fuzz/ by go test; commit any that reproduce bugs.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzEventConstructive -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzSettleRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -run=^$$ -fuzz=FuzzApplyUndo -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzServedRewardsMatchEvaluation -fuzztime=$(FUZZTIME) ./internal/server/
 

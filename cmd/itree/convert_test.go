@@ -97,7 +97,7 @@ func TestConvertJournalSettleClaimRoundTrip(t *testing.T) {
 func TestConvertJournalRefusesTornTail(t *testing.T) {
 	var log bytes.Buffer
 	w := journal.NewWriter(&log, 1)
-	w.Append(journal.Event{Kind: journal.KindJoin, Name: "alice"})
+	w.AppendBatch([]journal.Event{{Kind: journal.KindJoin, Name: "alice"}})
 	rec, err := journal.AppendBinaryRecord(nil, journal.Event{Seq: 2, Kind: journal.KindContribute, Name: "alice", Amount: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestConvertRejectsGarbage(t *testing.T) {
 func TestConvertTrailingOutputFlag(t *testing.T) {
 	var log bytes.Buffer
 	w := journal.NewWriter(&log, 1)
-	w.Append(journal.Event{Kind: journal.KindJoin, Name: "alice"})
+	w.AppendBatch([]journal.Event{{Kind: journal.KindJoin, Name: "alice"}})
 
 	dir := t.TempDir()
 	in := filepath.Join(dir, "journal.log")

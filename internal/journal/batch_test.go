@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestAppendBatchBytesIdentical: the group-commit primitive must write
-// exactly the bytes N individual Appends would, with the same sequence
-// numbers — this is what makes -batch-max=1 vs N a pure performance
-// knob with no journal-format consequences.
+// TestAppendBatchBytesIdentical: a batch of N must write exactly the
+// bytes N batches of one would, with the same sequence numbers — this
+// is what makes -batch-max=1 vs N a pure performance knob with no
+// journal-format consequences.
 func TestAppendBatchBytesIdentical(t *testing.T) {
 	events := []Event{
 		{Kind: KindJoin, Name: "ada"},
@@ -22,7 +22,7 @@ func TestAppendBatchBytesIdentical(t *testing.T) {
 	var one, batch bytes.Buffer
 	jw1 := NewWriter(&one, 1)
 	for _, e := range events {
-		if _, err := jw1.Append(e); err != nil {
+		if _, err := appendOne(jw1, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func TestAppendBatchBytesIdentical(t *testing.T) {
 	}
 
 	if !bytes.Equal(one.Bytes(), batch.Bytes()) {
-		t.Fatalf("batch bytes differ from sequential appends:\nseq:\n%s\nbatch:\n%s", one.String(), batch.String())
+		t.Fatalf("batch bytes differ from batches of one:\nseq:\n%s\nbatch:\n%s", one.String(), batch.String())
 	}
 	for i, e := range persisted {
 		if e.Seq != uint64(i+1) {
@@ -41,11 +41,11 @@ func TestAppendBatchBytesIdentical(t *testing.T) {
 		}
 	}
 	// Both writers continue from the same next sequence number.
-	a, err := jw1.Append(Event{Kind: KindJoin, Name: "cora"})
+	a, err := appendOne(jw1, Event{Kind: KindJoin, Name: "cora"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := jw2.Append(Event{Kind: KindJoin, Name: "cora"})
+	b, err := appendOne(jw2, Event{Kind: KindJoin, Name: "cora"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAppendBatchValidationAtomic(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("failed batch wrote %d bytes", buf.Len())
 	}
-	e, err := jw.Append(Event{Kind: KindJoin, Name: "a"})
+	e, err := appendOne(jw, Event{Kind: KindJoin, Name: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestValidateNonFinite(t *testing.T) {
 	// The append paths both route through Validate.
 	var buf bytes.Buffer
 	jw := NewWriter(&buf, 1)
-	if _, err := jw.Append(Event{Kind: KindContribute, Name: "a", Amount: math.NaN()}); err == nil {
-		t.Fatal("Append accepted NaN")
+	if _, err := appendOne(jw, Event{Kind: KindContribute, Name: "a", Amount: math.NaN()}); err == nil {
+		t.Fatal("a batch of one accepted NaN")
 	}
 	if _, err := jw.AppendBatch([]Event{{Kind: KindContribute, Name: "a", Amount: math.Inf(1)}}); err == nil {
 		t.Fatal("AppendBatch accepted +Inf")

@@ -27,7 +27,7 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	w := NewWriterMode(&log, 1, ModeBinary)
 	for _, e := range binaryTestEvents {
 		e.Seq = 0 // Writer assigns
-		if _, err := w.Append(e); err != nil {
+		if _, err := appendOne(w, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestWriterEncoderByteEquality(t *testing.T) {
 	enc := NewEncoder(&viaEncoder)
 	for _, e := range binaryTestEvents {
 		e.Seq = 0
-		persisted, err := w.Append(e)
+		persisted, err := appendOne(w, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestBinaryTornTail(t *testing.T) {
 	var prefixAfter2, prefixAfter3 int
 	for i, e := range binaryTestEvents {
 		e.Seq = 0
-		if _, err := w.Append(e); err != nil {
+		if _, err := appendOne(w, e); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -145,7 +145,7 @@ func TestBinaryCorruptTail(t *testing.T) {
 	offsets := make([]int, 0, len(binaryTestEvents))
 	for _, e := range binaryTestEvents {
 		e.Seq = 0
-		if _, err := w.Append(e); err != nil {
+		if _, err := appendOne(w, e); err != nil {
 			t.Fatal(err)
 		}
 		offsets = append(offsets, log.Len())

@@ -205,10 +205,10 @@ func TestFileWriterBacksJournalWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWriter(fw, 1)
-	if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+	if _, err := appendOne(w, Event{Kind: KindJoin, Name: "ada"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 2}); err != nil {
+	if _, err := appendOne(w, Event{Kind: KindContribute, Name: "ada", Amount: 2}); err != nil {
 		t.Fatal(err)
 	}
 	fw.Close()
@@ -288,7 +288,7 @@ func TestFileWriterRollsBackFailedWrite(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.log")
 			fw, ff := openFaulty(t, path)
 			w := NewWriter(fw, 1)
-			if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+			if _, err := appendOne(w, Event{Kind: KindJoin, Name: "ada"}); err != nil {
 				t.Fatal(err)
 			}
 			if ff.truncates != 0 || ff.writes != 1 || ff.syncs != 1 {
@@ -307,7 +307,7 @@ func TestFileWriterRollsBackFailedWrite(t *testing.T) {
 			if st, err := os.Stat(path); err != nil || st.Size() != size {
 				t.Fatalf("file after failed write: %v, %v; want %d bytes", st, err, size)
 			}
-			persisted, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 2})
+			persisted, err := appendOne(w, Event{Kind: KindContribute, Name: "ada", Amount: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,15 +337,15 @@ func TestFileWriterRefusesAfterFailedRollback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.log")
 	fw, ff := openFaulty(t, path)
 	w := NewWriter(fw, 1)
-	if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+	if _, err := appendOne(w, Event{Kind: KindJoin, Name: "ada"}); err != nil {
 		t.Fatal(err)
 	}
 	ff.failSync, ff.failTruncate = true, true
-	if _, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 1}); !errors.Is(err, errInjected) {
+	if _, err := appendOne(w, Event{Kind: KindContribute, Name: "ada", Amount: 1}); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the injected error", err)
 	}
 	ff.failTruncate = false
-	_, err := w.Append(Event{Kind: KindContribute, Name: "ada", Amount: 2})
+	_, err := appendOne(w, Event{Kind: KindContribute, Name: "ada", Amount: 2})
 	if err == nil || !strings.Contains(err.Error(), "read-only until reopened") {
 		t.Fatalf("append after a failed rollback: err = %v, want a refusal", err)
 	}

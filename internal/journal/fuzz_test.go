@@ -31,9 +31,9 @@ func FuzzJournalRecordDecode(f *testing.F) {
 	}
 	var log bytes.Buffer
 	w := NewWriter(&log, 1)
-	w.Append(Event{Kind: KindJoin, Name: "a"})
+	appendOne(w, Event{Kind: KindJoin, Name: "a"})
 	log.WriteString("\n")
-	w.Append(Event{Kind: KindContribute, Name: "a", Amount: 1})
+	appendOne(w, Event{Kind: KindContribute, Name: "a", Amount: 1})
 	f.Add(log.Bytes())
 	// Adversarial shapes: bare tag, tag + huge length, truncated frames.
 	f.Add([]byte{tagBinaryV1})

@@ -6,6 +6,10 @@
 // with a snapshot this gives the in-memory HTTP service
 // (internal/server) crash-recovery semantics: snapshot +
 // suffix-of-journal = current state.
+//
+// State.Apply is the one place the state rules live: the server
+// commits every write through it and Replay is a loop over it, so what
+// the live path acknowledges is exactly what recovery replays.
 package journal
 
 import (
@@ -115,7 +119,20 @@ func finitePositive(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
 }
 
-// Validate checks the event's internal consistency.
+// Errors Apply reports for an event that names the wrong participant
+// state; match with errors.Is.
+var (
+	// ErrUnknownParticipant reports an event naming nobody.
+	ErrUnknownParticipant = errors.New("unknown participant")
+	// ErrAlreadyQuarantined reports a redundant quarantine.
+	ErrAlreadyQuarantined = errors.New("already quarantined")
+	// ErrNotQuarantined reports an unquarantine of an unflagged name.
+	ErrNotQuarantined = errors.New("not quarantined")
+)
+
+// Validate checks the event's internal consistency, and that its binary
+// record fits the decoder's frame bound, so a record the journal could
+// not read back is never written.
 func (e Event) Validate() error {
 	if e.Kind != KindSettle && e.Kind != KindClaim {
 		// The ledger fields belong to settle/claim records only; a
@@ -127,21 +144,26 @@ func (e Event) Validate() error {
 	switch e.Kind {
 	case KindJoin:
 		if e.Name == "" {
-			return errors.New("journal: join event without name")
+			return errors.New("name must not be empty")
 		}
 		if e.Amount != 0 {
 			return errors.New("journal: join event carries an amount")
 		}
 	case KindContribute:
-		if e.Name == "" {
-			return errors.New("journal: contribute event without name")
+		// NaN fails every comparison, so `<= 0` alone would wave it (and
+		// ±Inf) through.
+		if math.IsNaN(e.Amount) || math.IsInf(e.Amount, 0) {
+			return fmt.Errorf("amount %v must be finite", e.Amount)
 		}
-		if !finitePositive(e.Amount) {
-			return fmt.Errorf("journal: contribute amount %v must be finite and positive", e.Amount)
+		if e.Amount <= 0 {
+			return fmt.Errorf("amount %v must be positive", e.Amount)
+		}
+		if e.Name == "" {
+			return fmt.Errorf("%w %q", ErrUnknownParticipant, "")
 		}
 	case KindQuarantine, KindUnquarantine:
 		if e.Name == "" {
-			return fmt.Errorf("journal: %s event without name", e.Kind)
+			return fmt.Errorf("%w %q", ErrUnknownParticipant, "")
 		}
 		if e.Sponsor != "" {
 			return fmt.Errorf("journal: %s event carries a sponsor", e.Kind)
@@ -177,7 +199,7 @@ func (e Event) Validate() error {
 		}
 	case KindClaim:
 		if e.Name == "" {
-			return errors.New("journal: claim event without name")
+			return fmt.Errorf("%w %q", ErrUnknownParticipant, "")
 		}
 		if e.Sponsor != "" {
 			return errors.New("journal: claim event carries a sponsor")
@@ -193,6 +215,9 @@ func (e Event) Validate() error {
 		}
 	default:
 		return fmt.Errorf("journal: unknown event kind %q", e.Kind)
+	}
+	if n := binaryPayloadSize(e); n > maxBinaryPayload {
+		return fmt.Errorf("journal: %s record of %d bytes exceeds the %d-byte record bound", e.Kind, n, maxBinaryPayload)
 	}
 	return nil
 }
@@ -225,31 +250,11 @@ func NewWriterMode(w io.Writer, nextSeq uint64, mode Mode) *Writer {
 	return NewWriter(w, nextSeq)
 }
 
-// Append assigns the next sequence number, validates, and writes the
-// event as one record. It returns the persisted event.
-func (jw *Writer) Append(e Event) (Event, error) {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	e.Seq = jw.seq
-	data, err := AppendBinaryRecord(jw.buf[:0], e)
-	if err != nil {
-		return Event{}, err
-	}
-	jw.buf = data[:0]
-	if _, err := jw.w.Write(data); err != nil {
-		return Event{}, fmt.Errorf("journal: write: %w", err)
-	}
-	jw.seq++
-	metricAppends.Inc()
-	metricAppendBytes.Add(uint64(len(data)))
-	return e, nil
-}
-
 // AppendBatch assigns consecutive sequence numbers to events and writes
 // them as records with a single Write to the underlying writer — the
 // group-commit primitive: a FileWriter backing jw issues at most one
 // fsync for the whole batch, and the bytes are identical to len(events)
-// individual Appends. Validation and encoding happen before any byte is
+// batches of one. Validation and encoding happen before any byte is
 // written, and a failed batch leaves the sequence counter untouched;
 // the log is untouched too when the underlying writer is all-or-nothing,
 // as FileWriter is. It returns the persisted events.
@@ -351,7 +356,7 @@ func hasContent(br *bufio.Reader) bool {
 	}
 }
 
-// State is the result of replaying a journal.
+// State is a campaign's state. Only Apply and Undo change a live one.
 type State struct {
 	// Tree is the reconstructed referral tree (labels carry names).
 	Tree *tree.Tree
@@ -367,86 +372,137 @@ type State struct {
 	Ledger *Ledger
 }
 
-// Replay applies events (in order) on top of an optional base state.
-// Pass nil to start from an empty tree.
+// NewState returns the state of an empty campaign.
+func NewState() *State {
+	return &State{Tree: tree.New(), ByName: make(map[string]tree.NodeID), Quarantined: make(map[string]bool), Ledger: NewLedger()}
+}
+
+// Undo is what Apply saved to reverse one event: the values the event
+// overwrote, never a delta to subtract, so an apply and its undo leave
+// every float bit for bit as it was. It is a value, not a closure, so
+// replay, which drops it, allocates nothing for it.
+type Undo struct {
+	kind Kind
+	name string
+	seq  uint64    // LastSeq before the event
+	mark tree.Mark // a join's tree size before it
+	id   tree.NodeID
+	// prior is a contribution's prior value, or a claimant's prior
+	// claimed amount; claimedSum is the claimed epoch's prior sum.
+	prior, claimedSum float64
+	epoch             uint64
+	settled           []float64 // each settle share's prior SettledOf
+}
+
+// Apply checks e against the state and applies it: first Event.Validate,
+// then Seq > LastSeq, then the kind's preconditions. A failed check
+// changes nothing. On success LastSeq is e.Seq and the returned Undo
+// reverses the change.
+func (st *State) Apply(e Event) (Undo, error) {
+	if err := e.Validate(); err != nil {
+		return Undo{}, err
+	}
+	if e.Seq <= st.LastSeq {
+		return Undo{}, fmt.Errorf("journal: event %d applied out of order (last %d)", e.Seq, st.LastSeq)
+	}
+	u := Undo{kind: e.Kind, name: e.Name, seq: st.LastSeq}
+	if e.Kind != KindJoin && e.Kind != KindSettle {
+		var ok bool
+		if u.id, ok = st.ByName[e.Name]; !ok {
+			return Undo{}, fmt.Errorf("%w %q", ErrUnknownParticipant, e.Name)
+		}
+	}
+	switch e.Kind {
+	case KindJoin:
+		if _, dup := st.ByName[e.Name]; dup {
+			return Undo{}, fmt.Errorf("participant %q already exists", e.Name)
+		}
+		parent := tree.Root
+		if e.Sponsor != "" {
+			p, ok := st.ByName[e.Sponsor]
+			if !ok {
+				return Undo{}, fmt.Errorf("unknown sponsor %q", e.Sponsor)
+			}
+			parent = p
+		}
+		u.mark = st.Tree.Mark()
+		id, err := st.Tree.Add(parent, 0)
+		if err != nil {
+			return Undo{}, err
+		}
+		// The node was just added, so labelling it cannot fail.
+		_ = st.Tree.SetLabel(id, e.Name)
+		st.ByName[e.Name] = id
+	case KindContribute:
+		u.prior = st.Tree.Contribution(u.id)
+		if err := st.Tree.AddContribution(u.id, e.Amount); err != nil {
+			return Undo{}, err
+		}
+	case KindQuarantine:
+		if st.Quarantined[e.Name] {
+			return Undo{}, fmt.Errorf("participant %q is %w", e.Name, ErrAlreadyQuarantined)
+		}
+		st.Quarantined[e.Name] = true
+	case KindUnquarantine:
+		if !st.Quarantined[e.Name] {
+			return Undo{}, fmt.Errorf("participant %q is %w", e.Name, ErrNotQuarantined)
+		}
+		delete(st.Quarantined, e.Name)
+	case KindSettle:
+		u.settled = make([]float64, len(e.Rewards))
+		for i, r := range e.Rewards {
+			if _, ok := st.ByName[r.Name]; !ok {
+				return Undo{}, fmt.Errorf("journal: settle share for unknown %q", r.Name)
+			}
+			u.settled[i] = st.Ledger.SettledOf(r.Name)
+		}
+		if err := st.Ledger.ApplySettle(e); err != nil {
+			return Undo{}, err
+		}
+	case KindClaim:
+		u.epoch, u.prior, u.claimedSum = e.Epoch, st.Ledger.ClaimedOf(e.Name), st.Ledger.ClaimedAmount(e.Epoch)
+		if err := st.Ledger.ApplyClaim(e); err != nil {
+			return Undo{}, err
+		}
+	}
+	st.LastSeq = e.Seq
+	return u, nil
+}
+
+// Undo reverses the event whose Apply returned u. Undo records must be
+// reversed newest first, each on the state its event left.
+func (st *State) Undo(u Undo) {
+	switch u.kind {
+	case KindJoin:
+		delete(st.ByName, u.name)
+		// The mark predates the join, so it is in range.
+		_ = st.Tree.ResetTo(u.mark)
+	case KindContribute:
+		// A saved value of an existing node cannot fail.
+		_ = st.Tree.SetContribution(u.id, u.prior)
+	case KindQuarantine:
+		delete(st.Quarantined, u.name)
+	case KindUnquarantine:
+		st.Quarantined[u.name] = true
+	case KindSettle:
+		st.Ledger.undoSettle(u.settled)
+	case KindClaim:
+		st.Ledger.undoClaim(u.epoch, u.name, u.prior, u.claimedSum)
+	}
+	st.LastSeq = u.seq
+}
+
+// Replay applies events (in order) on top of an optional base state,
+// in place. Pass nil to start from an empty campaign.
 func Replay(base *State, events []Event) (*State, error) {
 	st := base
 	if st == nil {
-		st = &State{Tree: tree.New(), ByName: make(map[string]tree.NodeID)}
-	}
-	if st.Quarantined == nil {
-		st.Quarantined = make(map[string]bool)
-	}
-	if st.Ledger == nil {
-		st.Ledger = NewLedger()
+		st = NewState()
 	}
 	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return nil, err
+		if _, err := st.Apply(e); err != nil {
+			return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
 		}
-		if e.Seq <= st.LastSeq {
-			return nil, fmt.Errorf("journal: event %d replayed out of order (last %d)", e.Seq, st.LastSeq)
-		}
-		switch e.Kind {
-		case KindJoin:
-			if _, dup := st.ByName[e.Name]; dup {
-				return nil, fmt.Errorf("journal: duplicate join of %q at seq %d", e.Name, e.Seq)
-			}
-			parent := tree.Root
-			if e.Sponsor != "" {
-				p, ok := st.ByName[e.Sponsor]
-				if !ok {
-					return nil, fmt.Errorf("journal: unknown sponsor %q at seq %d", e.Sponsor, e.Seq)
-				}
-				parent = p
-			}
-			id, err := st.Tree.Add(parent, 0)
-			if err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-			if err := st.Tree.SetLabel(id, e.Name); err != nil {
-				return nil, err
-			}
-			st.ByName[e.Name] = id
-		case KindContribute:
-			id, ok := st.ByName[e.Name]
-			if !ok {
-				return nil, fmt.Errorf("journal: contribution by unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if err := st.Tree.AddContribution(id, e.Amount); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		case KindQuarantine:
-			if _, ok := st.ByName[e.Name]; !ok {
-				return nil, fmt.Errorf("journal: quarantine of unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if st.Quarantined[e.Name] {
-				return nil, fmt.Errorf("journal: duplicate quarantine of %q at seq %d", e.Name, e.Seq)
-			}
-			st.Quarantined[e.Name] = true
-		case KindUnquarantine:
-			if !st.Quarantined[e.Name] {
-				return nil, fmt.Errorf("journal: unquarantine of unflagged %q at seq %d", e.Name, e.Seq)
-			}
-			delete(st.Quarantined, e.Name)
-		case KindSettle:
-			for _, r := range e.Rewards {
-				if _, ok := st.ByName[r.Name]; !ok {
-					return nil, fmt.Errorf("journal: settle share for unknown %q at seq %d", r.Name, e.Seq)
-				}
-			}
-			if err := st.Ledger.ApplySettle(e); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		case KindClaim:
-			if _, ok := st.ByName[e.Name]; !ok {
-				return nil, fmt.Errorf("journal: claim by unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if err := st.Ledger.ApplyClaim(e); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		}
-		st.LastSeq = e.Seq
 		metricReplays.Inc()
 	}
 	return st, nil

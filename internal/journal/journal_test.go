@@ -13,6 +13,15 @@ import (
 	"incentivetree/internal/tree"
 )
 
+// appendOne appends e as a batch of one and returns the persisted event.
+func appendOne(w *Writer, e Event) (Event, error) {
+	out, err := w.AppendBatch([]Event{e})
+	if err != nil {
+		return Event{}, err
+	}
+	return out[0], nil
+}
+
 func TestEventValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -41,11 +50,11 @@ func TestEventValidate(t *testing.T) {
 func TestWriterAssignsSequence(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 0)
-	e1, err := w.Append(Event{Kind: KindJoin, Name: "a"})
+	e1, err := appendOne(w, Event{Kind: KindJoin, Name: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := w.Append(Event{Kind: KindContribute, Name: "a", Amount: 1})
+	e2, err := appendOne(w, Event{Kind: KindContribute, Name: "a", Amount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +69,11 @@ func TestWriterAssignsSequence(t *testing.T) {
 
 func TestWriterRejectsInvalid(t *testing.T) {
 	w := NewWriter(&bytes.Buffer{}, 1)
-	if _, err := w.Append(Event{Kind: KindContribute, Name: "a", Amount: -1}); err == nil {
+	if _, err := appendOne(w, Event{Kind: KindContribute, Name: "a", Amount: -1}); err == nil {
 		t.Fatal("invalid event should be rejected")
 	}
 	// Sequence not consumed by the failed append.
-	e, err := w.Append(Event{Kind: KindJoin, Name: "a"})
+	e, err := appendOne(w, Event{Kind: KindJoin, Name: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +90,7 @@ func TestWriterConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := w.Append(Event{Kind: KindJoin, Name: "x"}); err != nil {
+			if _, err := appendOne(w, Event{Kind: KindJoin, Name: "x"}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -107,7 +116,7 @@ func TestReadRoundTrip(t *testing.T) {
 		{Kind: KindContribute, Name: "bo", Amount: 2.5},
 	}
 	for _, e := range want {
-		if _, err := w.Append(e); err != nil {
+		if _, err := appendOne(w, e); err != nil {
 			t.Fatal(err)
 		}
 	}

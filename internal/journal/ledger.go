@@ -41,7 +41,8 @@ type SettledEpoch struct {
 }
 
 // Ledger is the replayed settle/claim state of one campaign. Not safe
-// for concurrent use; the server guards it with its state lock.
+// for concurrent use; the server guards it with its state lock. A live
+// ledger changes only through State.Apply and State.Undo.
 type Ledger struct {
 	epochs []SettledEpoch
 	// Per-epoch derived views, indexed epoch-1.
@@ -208,6 +209,31 @@ func (l *Ledger) ApplyClaim(e Event) error {
 	l.claimedSum[i] += e.Amount
 	l.claimedBy[e.Name] += e.Amount
 	return nil
+}
+
+// undoSettle removes the newest epoch and puts back each of its
+// shares' prior cumulative settled amount (prior[i] for share i).
+func (l *Ledger) undoSettle(prior []float64) {
+	n := len(l.epochs) - 1
+	for i, r := range l.epochs[n].Rewards {
+		l.settledBy[r.Name] = prior[i]
+	}
+	l.epochs = l.epochs[:n]
+	l.shares = l.shares[:n]
+	l.claimedSet = l.claimedSet[:n]
+	l.carry = l.carry[:n]
+	l.settledSum = l.settledSum[:n]
+	l.claimedSum = l.claimedSum[:n]
+}
+
+// undoClaim removes epoch's newest claim, by name, and puts back the
+// epoch's prior claimed sum and name's prior cumulative claimed amount.
+func (l *Ledger) undoClaim(epoch uint64, name string, prior, claimedSum float64) {
+	i := epoch - 1
+	delete(l.claimedSet[i], name)
+	l.epochs[i].Claimed = l.epochs[i].Claimed[:len(l.epochs[i].Claimed)-1]
+	l.claimedSum[i] = claimedSum
+	l.claimedBy[name] = prior
 }
 
 // Snapshot returns a deep copy of the settled epochs, safe to hold

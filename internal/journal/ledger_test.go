@@ -38,7 +38,7 @@ func TestSettleClaimRoundTripBothFormats(t *testing.T) {
 		w := NewWriter(&log, 1)
 		for _, e := range events {
 			e.Seq = 0
-			if _, err := w.Append(e); err != nil {
+			if _, err := appendOne(w, e); err != nil {
 				t.Fatalf("append %+v: %v", e, err)
 			}
 		}

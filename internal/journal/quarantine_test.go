@@ -96,7 +96,7 @@ func TestQuarantineRoundTripsThroughWriter(t *testing.T) {
 		{Kind: KindUnquarantine, Name: "a"},
 		{Kind: KindQuarantine, Name: "a"},
 	} {
-		if _, err := w.Append(e); err != nil {
+		if _, err := appendOne(w, e); err != nil {
 			t.Fatal(err)
 		}
 	}

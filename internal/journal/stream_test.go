@@ -16,7 +16,7 @@ func encodeAll(t *testing.T, events []Event) []byte {
 	var buf bytes.Buffer
 	jw := NewWriter(&buf, events[0].Seq)
 	for _, e := range events {
-		if _, err := jw.Append(Event{Kind: e.Kind, Name: e.Name, Sponsor: e.Sponsor, Amount: e.Amount}); err != nil {
+		if _, err := appendOne(jw, Event{Kind: e.Kind, Name: e.Name, Sponsor: e.Sponsor, Amount: e.Amount}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestReadRefusesTruncationOverHiddenRecords(t *testing.T) {
 func TestReadRepairsTornBatch(t *testing.T) {
 	var log bytes.Buffer
 	w := NewWriter(&log, 1)
-	if _, err := w.Append(Event{Kind: KindJoin, Name: "ada"}); err != nil {
+	if _, err := appendOne(w, Event{Kind: KindJoin, Name: "ada"}); err != nil {
 		t.Fatal(err)
 	}
 	ends := []int{log.Len()}

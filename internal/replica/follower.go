@@ -360,18 +360,26 @@ func (m *Manager) bootstrap(ctx context.Context, t *tail) error {
 		return fmt.Errorf("snapshot %s: HTTP %d", t.id, resp.StatusCode)
 	}
 	committedHdr, _ := strconv.ParseUint(resp.Header.Get(HeaderCommittedSeq), 10, 64)
-	var doc SnapshotDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	var meta Meta
+	if err := json.Unmarshal([]byte(resp.Header.Get(HeaderMeta)), &meta); err != nil {
+		return fmt.Errorf("snapshot %s: meta: %w", t.id, err)
+	}
+	if meta.ID != t.id {
+		return fmt.Errorf("snapshot %s: meta claims campaign %q", t.id, meta.ID)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("snapshot %s: read: %w", t.id, err)
+	}
+	snap, err := server.DecodeSnapshot(body) // its CRC covers the whole body
+	if err != nil {
 		return fmt.Errorf("snapshot %s: decode: %w", t.id, err)
 	}
-	if doc.Meta.ID != t.id {
-		return fmt.Errorf("snapshot %s: document claims campaign %q", t.id, doc.Meta.ID)
-	}
-	applier, err := m.opts.Target.Adopt(doc.Meta, doc.Snapshot)
+	applier, err := m.opts.Target.Adopt(meta, *snap)
 	if err != nil {
 		return fmt.Errorf("adopt %s: %w", t.id, err)
 	}
-	base := doc.Snapshot.LastSeq
+	base := snap.LastSeq
 	t.applier = applier
 	t.hashMu.Lock()
 	t.hash = sha256.New()
@@ -464,8 +472,8 @@ func (m *Manager) apply(t *tail, batch []journal.Event) error {
 		return nil
 	}
 	if err := t.applier.ApplyReplicated(batch); err != nil {
-		// Divergence (the state may be partially advanced): discard and
-		// re-bootstrap rather than serve a state no primary ever had.
+		// Divergence (the batch applied none of its events): discard and
+		// re-bootstrap rather than trust the stream any further.
 		t.synced.Store(false)
 		return fmt.Errorf("apply %s: %w", t.id, err)
 	}

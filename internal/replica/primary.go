@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -80,12 +81,22 @@ func NewPublisher(reg *obs.Registry) *Publisher {
 	return p
 }
 
-// ServeSnapshot answers GET .../replica/snapshot: the campaign meta
-// plus an atomic state snapshot, stamped with the committed sequence.
+// ServeSnapshot answers GET .../replica/snapshot: an atomic state
+// snapshot in the binary checkpoint codec, with the campaign meta in
+// HeaderMeta and the committed sequence in HeaderCommittedSeq.
 func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request, c PrimaryCampaign) {
 	snap := c.Snapshot()
+	body, err := server.EncodeSnapshotBinary(&snap)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+		return
+	}
+	// Meta is plain strings and numbers: marshalling cannot fail.
+	meta, _ := json.Marshal(c.Meta)
+	w.Header().Set(HeaderMeta, string(meta))
 	w.Header().Set(HeaderCommittedSeq, strconv.FormatUint(c.LastSeq(), 10))
-	writeJSON(w, http.StatusOK, SnapshotDoc{Meta: c.Meta, Snapshot: snap})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(body) // a failed write is a follower gone away; it retries
 	p.mSnapshots.Inc()
 }
 

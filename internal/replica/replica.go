@@ -8,7 +8,10 @@
 // internal/store on the regular API listener):
 //
 //	GET /v1/campaigns/{id}/replica/snapshot
-//	    -> 200 {"meta":{...},"snapshot":{"last_seq":k,"tree":{...}}}
+//	    -> 200 application/octet-stream: the state in the binary
+//	       checkpoint codec (server.EncodeSnapshotBinary), whose CRC
+//	       covers the whole body.
+//	       X-Itree-Meta: {"id":...,"mechanism":...,"params":{...}}
 //	       X-Itree-Committed-Seq: <committed>
 //
 //	GET /v1/campaigns/{id}/replica/journal?from=<seq>&wait=<dur>
@@ -25,12 +28,14 @@
 //
 // A follower bootstraps each campaign from the snapshot endpoint, then
 // tails the journal stream with retry/backoff, resuming from its last
-// applied sequence. Records are applied through the same replay code
-// as crash recovery (server.ApplyReplicated), so follower state —
+// applied sequence. Records are applied, all or nothing per batch,
+// through the same journal.State.Apply as crash recovery and the
+// primary's own writes (server.ApplyReplicated), so follower state —
 // including reward-table bytes — is identical to a primary that
-// journaled the same events. Any divergence (gap, replay error,
-// compaction overrun) is handled one way: drop the deployment and
-// re-bootstrap.
+// journaled the same events. Any divergence (gap, apply error,
+// compaction overrun, a snapshot failing its CRC) is handled one way:
+// drop the deployment and re-bootstrap. A primary and its followers run
+// the same release; a follower that cannot decode the snapshot retries.
 //
 // # Staleness
 //
@@ -50,7 +55,6 @@ import (
 	"net/http"
 
 	"incentivetree/internal/core"
-	"incentivetree/internal/server"
 )
 
 // Wire protocol headers.
@@ -58,6 +62,8 @@ const (
 	// HeaderCommittedSeq carries the primary's committed sequence number
 	// on snapshot and journal responses.
 	HeaderCommittedSeq = "X-Itree-Committed-Seq"
+	// HeaderMeta carries the campaign's Meta, as JSON, on snapshots.
+	HeaderMeta = "X-Itree-Meta"
 	// HeaderStaleness reports a follower's lag on read responses, as
 	// "records=<n> seconds=<s>" (or "unsynced" before the first
 	// successful bootstrap).
@@ -72,12 +78,6 @@ type Meta struct {
 	ID        string      `json:"id"`
 	Mechanism string      `json:"mechanism"`
 	Params    core.Params `json:"params"`
-}
-
-// SnapshotDoc is the body of GET .../replica/snapshot.
-type SnapshotDoc struct {
-	Meta     Meta            `json:"meta"`
-	Snapshot server.Snapshot `json:"snapshot"`
 }
 
 type errorResponse struct {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -52,20 +51,16 @@ func (s *Server) IngestQueueLen() int {
 }
 
 // Join registers a participant programmatically (used by the daemon's
-// seeding flag and by tests). It applies directly — a batch of one —
+// seeding flag and by tests). It commits directly — a batch of one —
 // without passing through the ingest queue.
 func (s *Server) Join(name, sponsor string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked([]ingest.Op{{Kind: ingest.OpJoin, Name: name, Sponsor: sponsor}})[0]
+	return s.commit(opEvent(ingest.Op{Kind: ingest.OpJoin, Name: name, Sponsor: sponsor}))
 }
 
-// Contribute records work done by an existing participant, applied
+// Contribute records work done by an existing participant, committed
 // directly as a batch of one.
 func (s *Server) Contribute(name string, amount float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked([]ingest.Op{{Kind: ingest.OpContribute, Name: name, Amount: amount}})[0]
+	return s.commit(opEvent(ingest.Op{Kind: ingest.OpContribute, Name: name, Amount: amount}))
 }
 
 // SubmitJoin routes a join through the ingest pipeline when one is
@@ -96,173 +91,123 @@ func (s *Server) submit(ctx context.Context, op ingest.Op) (Participant, error) 
 	return v.(Participant), nil
 }
 
-// ApplyBatch implements ingest.Applier: the whole batch applies under
-// one write-lock acquisition, journals with a single write, and
-// re-folds the reward aggregates once; every success's post-commit view
-// is then read from them. Per-op validation errors are reported
+// opEvent is the journal event an ingest op asks for. A join's name is
+// recorded trimmed of surrounding space.
+func opEvent(op ingest.Op) journal.Event {
+	if op.Kind == ingest.OpJoin {
+		return journal.Event{Kind: journal.KindJoin, Name: strings.TrimSpace(op.Name), Sponsor: op.Sponsor}
+	}
+	return journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount}
+}
+
+// ApplyBatch implements ingest.Applier: the whole batch commits under
+// one write-lock acquisition, with a single journal write and one
+// re-fold of the reward aggregates; every success's post-commit view is
+// then read from them. Per-op validation errors are reported
 // individually and never fail the rest of the batch.
 func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
+	events := make([]journal.Event, len(ops))
+	for i, op := range ops {
+		events[i] = opEvent(op)
+	}
+	results := make([]ingest.Result, len(ops))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	errs := s.applyLocked(ops)
-	results := make([]ingest.Result, len(ops))
-	for i, op := range ops {
-		if errs[i] != nil {
-			results[i].Err = errs[i]
+	for i, err := range s.commitLocked(events) {
+		if err != nil {
+			results[i].Err = err
 			continue
 		}
-		name := op.Name
-		if op.Kind == ingest.OpJoin {
-			name = strings.TrimSpace(name)
-		}
-		results[i].Value = s.viewLocked(s.byKey[name])
+		results[i].Value = s.viewLocked(s.state.ByName[opEvent(ops[i]).Name])
 	}
 	return results
 }
 
-// applyLocked validates and applies ops in order under the held write
-// lock, then journals every success as one batch append. errs[i] is
-// op i's individual outcome. If the journal rejects the batch, every
-// in-memory mutation is rolled back so memory never diverges from what
-// a restart would replay, and the append error is reported on each op
-// that had applied. Only a committed batch re-folds the reward
-// aggregates, so a rolled-back one never touches them.
-func (s *Server) applyLocked(ops []ingest.Op) []error {
-	errs := make([]error, len(ops))
-	events := make([]journal.Event, 0, len(ops))
-	eventOps := make([]int, 0, len(ops))
-	touched := make([]tree.NodeID, 0, len(ops))
-	mark := s.tree.Mark()
-	var joins []string
-	var contribs []contribUndo
-	for i, op := range ops {
-		switch op.Kind {
-		case ingest.OpJoin:
-			name, err := s.joinLocked(op.Name, op.Sponsor)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			joins = append(joins, name)
-			touched = append(touched, s.byKey[name])
-			events = append(events, journal.Event{Kind: journal.KindJoin, Name: name, Sponsor: op.Sponsor})
-			eventOps = append(eventOps, i)
-		case ingest.OpContribute:
-			undo, err := s.contributeLocked(op.Name, op.Amount)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			contribs = append(contribs, undo)
-			touched = append(touched, undo.id)
-			events = append(events, journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount})
-			eventOps = append(eventOps, i)
-		default:
-			errs[i] = fmt.Errorf("server: unknown op kind %d", op.Kind)
+// commit commits one event under the write lock.
+func (s *Server) commit(e journal.Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked([]journal.Event{e})[0]
+}
+
+// commitLocked is the one write path. It applies events in order, each
+// at the next seq, journals the ones that applied with one append, and
+// undoes them newest first if the append fails, so no reader sees an
+// event before its append. errs[i] is event i's outcome. It reuses
+// events' backing array. Callers hold the write lock.
+func (s *Server) commitLocked(events []journal.Event) []error {
+	errs := make([]error, len(events))
+	undos := make([]journal.Undo, 0, len(events))
+	applied := events[:0]
+	for i, e := range events {
+		e.Seq = s.state.LastSeq + 1
+		u, err := s.state.Apply(e)
+		if err != nil {
+			errs[i] = err
+			continue
 		}
+		applied = append(applied, e)
+		undos = append(undos, u)
 	}
-	if len(events) == 0 {
+	if len(applied) == 0 {
 		return errs
 	}
 	if s.journal != nil {
-		persisted, err := s.journal.AppendBatch(events)
+		persisted, err := s.journal.AppendBatch(applied)
 		if err != nil {
-			s.rollbackLocked(mark, joins, contribs)
+			s.undoLocked(undos)
 			err = fmt.Errorf("%w: %w", errJournalAppend, err)
-			for _, oi := range eventOps {
-				errs[oi] = err
+			for i := range errs {
+				if errs[i] == nil {
+					errs[i] = err
+				}
 			}
 			return errs
 		}
-		s.lastSeq = persisted[len(persisted)-1].Seq
-	} else {
-		s.lastSeq += uint64(len(events))
-	}
-	s.refoldLocked(touched)
-	s.version++
-	if s.commitHook != nil {
-		touched := make([]string, len(events))
-		for i, e := range events {
-			touched[i] = e.Name
+		if persisted[0].Seq != applied[0].Seq {
+			panic(fmt.Sprintf("server: the journal recorded seq %d for an event applied at seq %d", persisted[0].Seq, applied[0].Seq))
 		}
-		s.commitHook(s.version, touched)
 	}
+	s.publishLocked(applied)
 	return errs
 }
 
-// joinLocked validates and applies one join, returning the
-// (whitespace-trimmed) name recorded in the journal event.
-func (s *Server) joinLocked(name, sponsor string) (string, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", errors.New("name must not be empty")
+// undoLocked reverses applied events, newest first.
+func (s *Server) undoLocked(undos []journal.Undo) {
+	for i := len(undos) - 1; i >= 0; i-- {
+		s.state.Undo(undos[i])
 	}
-	if _, dup := s.byKey[name]; dup {
-		return "", fmt.Errorf("participant %q already exists", name)
-	}
-	parent := tree.Root
-	if sponsor != "" {
-		p, ok := s.byKey[sponsor]
-		if !ok {
-			return "", fmt.Errorf("unknown sponsor %q", sponsor)
+}
+
+// publishLocked re-folds the reward aggregates on the root paths of
+// the committed joins and contributions, and moves the version when one
+// of those or a quarantine flip changed what a read returns (settles
+// and claims do not). The commit observer gets the names they touched.
+func (s *Server) publishLocked(events []journal.Event) {
+	touched := make([]tree.NodeID, 0, len(events))
+	var names []string
+	flipped := false
+	for _, e := range events {
+		switch e.Kind {
+		case journal.KindJoin, journal.KindContribute:
+			touched = append(touched, s.state.ByName[e.Name])
+			if s.commitHook != nil {
+				names = append(names, e.Name)
+			}
+		case journal.KindQuarantine, journal.KindUnquarantine:
+			flipped = true
 		}
-		parent = p
 	}
-	id, err := s.tree.Add(parent, 0)
-	if err != nil {
-		return "", err
+	if len(touched) == 0 && !flipped {
+		return
 	}
-	if err := s.tree.SetLabel(id, name); err != nil {
-		return "", err
+	if len(touched) > 0 {
+		s.refoldLocked(touched)
 	}
-	s.byKey[name] = id
-	return name, nil
-}
-
-// contribUndo records the pre-op contribution of one participant so a
-// failed batch can restore the exact value (no floating-point drift).
-type contribUndo struct {
-	id  tree.NodeID
-	old float64
-}
-
-// contributeLocked validates and applies one contribution, returning
-// its undo record.
-func (s *Server) contributeLocked(name string, amount float64) (contribUndo, error) {
-	// NaN fails every comparison, so the positivity check alone would
-	// admit it (and ±Inf); reject non-finite amounts explicitly.
-	if math.IsNaN(amount) || math.IsInf(amount, 0) {
-		return contribUndo{}, fmt.Errorf("amount %v must be finite", amount)
+	s.version++
+	if names != nil {
+		s.commitHook(s.version, names)
 	}
-	if amount <= 0 {
-		return contribUndo{}, fmt.Errorf("amount %v must be positive", amount)
-	}
-	id, ok := s.byKey[name]
-	if !ok {
-		return contribUndo{}, fmt.Errorf("unknown participant %q", name)
-	}
-	undo := contribUndo{id: id, old: s.tree.Contribution(id)}
-	if err := s.tree.AddContribution(id, amount); err != nil {
-		return contribUndo{}, err
-	}
-	return undo, nil
-}
-
-// rollbackLocked undoes an applied-but-unjournaled batch: restore
-// contribution values (reverse order, so repeated contributions to one
-// participant land back on the first-recorded value), drop the name
-// index entries of batch joins, and truncate their tree nodes.
-func (s *Server) rollbackLocked(mark tree.Mark, joins []string, contribs []contribUndo) {
-	for i := len(contribs) - 1; i >= 0; i-- {
-		// Restoring a recorded prior value of an existing node cannot fail.
-		_ = s.tree.SetContribution(contribs[i].id, contribs[i].old)
-	}
-	for _, name := range joins {
-		delete(s.byKey, name)
-	}
-	// The tree always holds at least the imaginary root, so the mark is
-	// valid by construction.
-	_ = s.tree.ResetTo(mark)
 }
 
 // refoldLocked brings the reward aggregates up to date with the tree
@@ -273,20 +218,21 @@ func (s *Server) rollbackLocked(mark tree.Mark, joins []string, contribs []contr
 // node's fold re-reads all its children, which reproduces the full
 // pass's summation order and hence its bits.
 func (s *Server) refoldLocked(touched []tree.NodeID) {
-	if n := s.tree.Len(); len(s.agg) < n {
+	t := s.state.Tree
+	if n := t.Len(); len(s.agg) < n {
 		s.agg = append(s.agg, make([]float64, n-len(s.agg))...)
 	}
 	var path []tree.NodeID
 	for _, u := range touched {
-		for v := u; v != tree.Root; v = s.tree.Parent(v) {
+		for v := u; v != tree.Root; v = t.Parent(v) {
 			path = append(path, v)
 		}
 	}
 	slices.SortFunc(path, func(a, b tree.NodeID) int { return cmp.Compare(b, a) })
 	for _, v := range slices.Compact(path) {
-		s.agg[v] = core.Fold(s.local, s.tree, s.agg, v)
+		s.agg[v] = core.Fold(s.local, t, s.agg, v)
 	}
 	if s.local.UsesTotal() {
-		s.total = s.tree.Total()
+		s.total = t.Total()
 	}
 }

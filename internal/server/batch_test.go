@@ -344,7 +344,9 @@ func TestWriteOpErrorMapping(t *testing.T) {
 
 // TestJournalFailureAnswers503 checks that the journaled writes outside
 // the batch path answer a failed journal append the way the batch path
-// does — 503, not 500 — and leave the state as it was.
+// does — 503, not 500 — and leave the state as it was: the snapshot,
+// and the ledger sums the snapshot omits, which /v1/epochs and
+// /v1/claims serve.
 func TestJournalFailureAnswers503(t *testing.T) {
 	var buf bytes.Buffer
 	fw := &failWriter{w: &buf}
@@ -367,14 +369,19 @@ func TestJournalFailureAnswers503(t *testing.T) {
 	if err := s.Contribute("ada", 1); err != nil {
 		t.Fatal(err)
 	}
+	h := s.Handler()
 	state := func() []byte {
 		data, err := json.Marshal(s.SnapshotState())
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, path := range []string{"/v1/epochs", "/v1/claims", "/v1/claims?name=ada"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			data = append(append(data, '\n'), rec.Body.Bytes()...)
+		}
 		return data
 	}
-	h := s.Handler()
 	fw.fail = true
 	for _, tc := range []struct{ name, method, path, body string }{
 		{"quarantine", "POST", "/v1/audit/quarantine", `{"name":"ada"}`},

@@ -68,19 +68,19 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 		"Number of participants in the referral tree.", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.tree.NumParticipants())
+			return float64(s.state.Tree.NumParticipants())
 		}, labels...)
 	reg.GaugeFunc("itree_tree_depth_max",
 		"Depth of the deepest participant (root children are depth 1).", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.tree.ComputeStats().MaxDepth)
+			return float64(s.state.Tree.ComputeStats().MaxDepth)
 		}, labels...)
 	reg.GaugeFunc("itree_contribution_total",
 		"Total contribution C(T).", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return s.tree.Total()
+			return s.state.Tree.Total()
 		}, labels...)
 	reg.GaugeFunc("itree_reward_total",
 		"Total reward R(T) under the configured mechanism.", func() float64 {
@@ -96,7 +96,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 		"Sequence number of the last journal event applied.", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.lastSeq)
+			return float64(s.state.LastSeq)
 		}, labels...)
 	reg.GaugeFunc("itree_settle_epochs",
 		"Number of settled payout epochs.", func() float64 {
@@ -136,7 +136,7 @@ func (s *Server) rewardTotals() (total, utilization float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	total = s.rewardsLocked().Total()
-	if budget := s.mech.Params().Phi * s.tree.Total(); budget > 0 {
+	if budget := s.mech.Params().Phi * s.state.Tree.Total(); budget > 0 {
 		utilization = total / budget
 	}
 	return total, utilization

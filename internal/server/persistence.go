@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -13,9 +14,9 @@ import (
 // Option configures a Server.
 type Option func(*Server)
 
-// WithJournal attaches a write-ahead event log: every successful join
-// and contribution is appended to jw, so `snapshot + journal suffix`
-// reconstructs the deployment after a restart (see internal/journal).
+// WithJournal attaches a write-ahead event log: every committed event is
+// appended to jw, so `snapshot + journal suffix` reconstructs the
+// deployment after a restart (see internal/journal).
 func WithJournal(jw *journal.Writer) Option {
 	return func(s *Server) { s.journal = jw }
 }
@@ -52,7 +53,7 @@ func (s *Server) SnapshotState() Snapshot {
 func (s *Server) SnapshotAt(fn func()) Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := Snapshot{LastSeq: s.lastSeq, Tree: s.tree.Clone(), Quarantined: s.quarantinedNamesLocked(), Epochs: s.ledger.Snapshot()}
+	snap := Snapshot{LastSeq: s.state.LastSeq, Tree: s.state.Tree.Clone(), Quarantined: s.quarantinedNamesLocked(), Epochs: s.state.Ledger.Snapshot()}
 	if fn != nil {
 		fn()
 	}
@@ -63,12 +64,29 @@ func (s *Server) SnapshotAt(fn func()) Snapshot {
 func (s *Server) LastSeq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lastSeq
+	return s.state.LastSeq
 }
+
+// Summary reports the participant count, C(T) and the last applied seq
+// under one read lock, copying nothing.
+func (s *Server) Summary() (participants int, total float64, lastSeq uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.state.Tree.NumParticipants(), s.state.Tree.Total(), s.state.LastSeq
+}
+
+// ErrRestoreJournaled refuses a restore on a server with a journal: a
+// restore writes no record, so recovery would not replay it.
+var ErrRestoreJournaled = errors.New("server: a journaled campaign cannot be restored while it runs; " +
+	"stop the daemon, `itree convert` the snapshot into the campaign's snapshot.bin, and empty its journal.log")
 
 // RestoreState replaces the deployment state with the snapshot. The
 // snapshot's participant names must be unique (they are the API keys).
+// A server with a journal refuses with ErrRestoreJournaled.
 func (s *Server) RestoreState(snap Snapshot) error {
+	if s.journal != nil {
+		return ErrRestoreJournaled
+	}
 	st, err := stateFromSnapshot(snap)
 	if err != nil {
 		return err
@@ -118,22 +136,12 @@ func stateFromSnapshot(snap Snapshot) (*journal.State, error) {
 func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tree = st.Tree
-	s.agg = core.FoldAll(s.local, s.tree, s.agg)
+	s.state = st
+	s.agg = core.FoldAll(s.local, st.Tree, s.agg)
 	if s.local.UsesTotal() {
-		s.total = s.tree.Total()
+		s.total = st.Tree.Total()
 	}
-	s.byKey = st.ByName
-	s.lastSeq = st.LastSeq
-	s.quarantined = st.Quarantined
-	if s.quarantined == nil {
-		s.quarantined = make(map[string]bool)
-	}
-	s.ledger = st.Ledger
-	if s.ledger == nil {
-		s.ledger = journal.NewLedger()
-	}
-	// lastSeq may move backwards on a restore, but the view version must
+	// LastSeq may move backwards on a restore, but the view version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
 	if s.commitHook != nil {
@@ -142,53 +150,28 @@ func (s *Server) adoptState(st *journal.State) {
 	}
 }
 
-// ApplyReplicated applies a contiguous batch of journal events
-// replicated from a primary, under the write lock and through the same
-// replay code as crash recovery, then re-folds the reward aggregates on
-// the root paths of its joins and contributions — so a follower that
-// applies the primary's journal reaches byte-identical state. The
-// batch must extend the current state exactly (first event at
-// LastSeq+1, no gaps); this is checked before anything mutates. On a replay error
-// the state may be partially advanced: the caller (a replication
-// follower) must discard the deployment and re-bootstrap from a
-// snapshot, which is its recovery path for any divergence.
+// ApplyReplicated applies a batch of journal events replicated from a
+// primary through the same journal.State.Apply as every other write,
+// then publishes it like a commit, so a follower reaches the primary's
+// bytes. Each event must carry the next seq. The batch applies all or
+// nothing: on an error the events already applied are undone.
 func (s *Server) ApplyReplicated(events []journal.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if events[0].Seq != s.lastSeq+1 {
-		return fmt.Errorf("server: replicated batch starts at seq %d, state is at %d", events[0].Seq, s.lastSeq)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq != events[i-1].Seq+1 {
-			return fmt.Errorf("server: replicated batch has a gap: %d after %d", events[i].Seq, events[i-1].Seq)
-		}
-	}
-	st := &journal.State{Tree: s.tree, ByName: s.byKey, LastSeq: s.lastSeq, Quarantined: s.quarantined, Ledger: s.ledger}
-	st, err := journal.Replay(st, events)
-	// Replay mutates the tree in place, also when it fails part-way, so
-	// the aggregates follow it either way.
-	var touched []tree.NodeID
+	undos := make([]journal.Undo, 0, len(events))
 	for _, e := range events {
-		if e.Kind != journal.KindJoin && e.Kind != journal.KindContribute {
-			continue
+		if e.Seq != s.state.LastSeq+1 {
+			s.undoLocked(undos)
+			return fmt.Errorf("server: replicated event at seq %d, state is at %d", e.Seq, s.state.LastSeq)
 		}
-		if id, ok := s.byKey[e.Name]; ok {
-			touched = append(touched, id)
+		u, err := s.state.Apply(e)
+		if err != nil {
+			s.undoLocked(undos)
+			return fmt.Errorf("server: replicated seq %d: %w", e.Seq, err)
 		}
+		undos = append(undos, u)
 	}
-	s.refoldLocked(touched)
-	if err != nil {
-		// Keep the read view from serving the partially mutated tree.
-		s.version++
-		return err
-	}
-	s.lastSeq = st.LastSeq
-	s.quarantined = st.Quarantined
-	s.ledger = st.Ledger
-	s.version++
+	s.publishLocked(events)
 	return nil
 }
 
@@ -233,7 +216,11 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.RestoreState(snap); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrRestoreJournaled) {
+			status = http.StatusConflict
+		}
+		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"restored": true, "last_seq": snap.LastSeq})

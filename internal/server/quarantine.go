@@ -1,8 +1,6 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"incentivetree/internal/core"
@@ -10,14 +8,15 @@ import (
 	"incentivetree/internal/tree"
 )
 
-// Quarantine error sentinels, matched with errors.Is by the HTTP layer.
+// Quarantine error sentinels, matched with errors.Is by the HTTP layer;
+// journal.State.Apply returns them.
 var (
 	// ErrUnknownParticipant reports a quarantine op naming nobody.
-	ErrUnknownParticipant = errors.New("unknown participant")
+	ErrUnknownParticipant = journal.ErrUnknownParticipant
 	// ErrAlreadyQuarantined reports a redundant quarantine.
-	ErrAlreadyQuarantined = errors.New("already quarantined")
+	ErrAlreadyQuarantined = journal.ErrAlreadyQuarantined
 	// ErrNotQuarantined reports an unquarantine of an unflagged name.
-	ErrNotQuarantined = errors.New("not quarantined")
+	ErrNotQuarantined = journal.ErrNotQuarantined
 )
 
 // Quarantine withholds the subtree rooted at name from payout: rewards
@@ -25,49 +24,15 @@ var (
 // /v1/rewards, /v1/leaderboard, and participant views, while raw
 // contributions — and hence every other participant's reward — stay
 // exactly as recorded. The flag is journaled (crash-recoverable,
-// replicated) and bumps the commit version so the next table read
+// replicated) and moves the commit version so the next table read
 // ranks afresh.
-func (s *Server) Quarantine(name string) error { return s.setQuarantine(name, true) }
+func (s *Server) Quarantine(name string) error {
+	return s.commit(journal.Event{Kind: journal.KindQuarantine, Name: name})
+}
 
 // Unquarantine clears a quarantine flag set by Quarantine.
-func (s *Server) Unquarantine(name string) error { return s.setQuarantine(name, false) }
-
-func (s *Server) setQuarantine(name string, on bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byKey[name]; !ok {
-		return fmt.Errorf("%w %q", ErrUnknownParticipant, name)
-	}
-	if on && s.quarantined[name] {
-		return fmt.Errorf("participant %q is %w", name, ErrAlreadyQuarantined)
-	}
-	if !on && !s.quarantined[name] {
-		return fmt.Errorf("participant %q is %w", name, ErrNotQuarantined)
-	}
-	kind := journal.KindQuarantine
-	if !on {
-		kind = journal.KindUnquarantine
-	}
-	// Journal first: nothing mutates until the record is durable, so a
-	// failed append leaves memory and log in agreement.
-	if s.journal != nil {
-		e, err := s.journal.Append(journal.Event{Kind: kind, Name: name})
-		if err != nil {
-			return fmt.Errorf("%w: %w", errJournalAppend, err)
-		}
-		s.lastSeq = e.Seq
-	} else {
-		s.lastSeq++
-	}
-	if on {
-		s.quarantined[name] = true
-	} else {
-		delete(s.quarantined, name)
-	}
-	// The read view keys on the commit version, so this bump guarantees
-	// no pre-quarantine reward table is ever served again.
-	s.version++
-	return nil
+func (s *Server) Unquarantine(name string) error {
+	return s.commit(journal.Event{Kind: journal.KindUnquarantine, Name: name})
 }
 
 // QuarantinedNames returns the currently flagged names, sorted.
@@ -78,11 +43,11 @@ func (s *Server) QuarantinedNames() []string {
 }
 
 func (s *Server) quarantinedNamesLocked() []string {
-	if len(s.quarantined) == 0 {
+	if len(s.state.Quarantined) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(s.quarantined))
-	for n := range s.quarantined {
+	names := make([]string, 0, len(s.state.Quarantined))
+	for n := range s.state.Quarantined {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -93,7 +58,7 @@ func (s *Server) quarantinedNamesLocked() []string {
 func (s *Server) QuarantineCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.quarantined)
+	return len(s.state.Quarantined)
 }
 
 // IsQuarantined reports whether name itself carries a quarantine flag
@@ -101,18 +66,18 @@ func (s *Server) QuarantineCount() int {
 func (s *Server) IsQuarantined(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.quarantined[name]
+	return s.state.Quarantined[name]
 }
 
 // maskedLocked reports whether u's payout is withheld: u or one of its
 // ancestors carries a quarantine flag. It costs one map-length check
 // while nothing is quarantined, and an ancestor walk otherwise.
 func (s *Server) maskedLocked(u tree.NodeID) bool {
-	if len(s.quarantined) == 0 {
+	if len(s.state.Quarantined) == 0 {
 		return false
 	}
-	for v := u; v != tree.Root; v = s.tree.Parent(v) {
-		if s.quarantined[s.tree.Label(v)] {
+	for v := u; v != tree.Root; v = s.state.Tree.Parent(v) {
+		if s.state.Quarantined[s.state.Tree.Label(v)] {
 			return true
 		}
 	}
@@ -124,33 +89,33 @@ func (s *Server) maskedLocked(u tree.NodeID) bool {
 // when no quarantine is active). One pass in id order builds both: a
 // parent's mask entry is final before any child's.
 func (s *Server) servedRewardsLocked() (core.Rewards, []bool) {
-	if len(s.quarantined) == 0 {
+	if len(s.state.Quarantined) == 0 {
 		return s.rewardsLocked(), nil
 	}
-	n := s.tree.Len()
+	n := s.state.Tree.Len()
 	mask := make([]bool, n)
-	for name := range s.quarantined {
-		if id, ok := s.byKey[name]; ok {
+	for name := range s.state.Quarantined {
+		if id, ok := s.state.ByName[name]; ok {
 			mask[id] = true
 		}
 	}
 	r := make(core.Rewards, n)
 	for id := 1; id < n; id++ {
 		u := tree.NodeID(id)
-		if mask[s.tree.Parent(u)] {
+		if mask[s.state.Tree.Parent(u)] {
 			mask[u] = true
 		}
 		if !mask[u] {
-			r[u] = s.local.Reward(s.tree, s.agg, u, s.total)
+			r[u] = s.local.Reward(s.state.Tree, s.agg, u, s.total)
 		}
 	}
 	return r, mask
 }
 
-// SetCommitObserver installs fn to be called after every committed
-// write batch and state restore, with the new commit version and the
-// participant names the batch touched (nil means "anything may have
-// changed" — restores and replicated batches). fn runs while the write
+// SetCommitObserver installs fn to be called after every commit that
+// joins or contributes and every state restore, with the new commit
+// version and the names the commit joined or contributed to (nil means
+// "anything may have changed" — restores). fn runs while the write
 // lock is held: it must be fast and must not call back into the
 // server. The background auditor uses this to maintain its dirty set.
 func (s *Server) SetCommitObserver(fn func(version uint64, touched []string)) {
@@ -168,5 +133,5 @@ func (s *Server) Mechanism() core.Mechanism { return s.mech }
 func (s *Server) AuditSnapshot() (*tree.Tree, []string, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Clone(), s.quarantinedNamesLocked(), s.version
+	return s.state.Tree.Clone(), s.quarantinedNamesLocked(), s.version
 }

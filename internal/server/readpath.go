@@ -44,7 +44,7 @@ func (s *Server) readViewLocked() *readView {
 	}
 	s.viewMisses.Inc()
 	rewards, mask := s.servedRewardsLocked()
-	ranked := make([]tree.NodeID, s.tree.NumParticipants())
+	ranked := make([]tree.NodeID, s.state.Tree.NumParticipants())
 	for i := range ranked {
 		ranked[i] = tree.NodeID(i + 1)
 	}
@@ -52,7 +52,7 @@ func (s *Server) readViewLocked() *readView {
 		if c := cmp.Compare(rewards[b], rewards[a]); c != 0 {
 			return c
 		}
-		return strings.Compare(s.tree.Label(a), s.tree.Label(b))
+		return strings.Compare(s.state.Tree.Label(a), s.state.Tree.Label(b))
 	})
 	v := &readView{version: s.version, rewards: rewards, mask: mask, ranked: ranked}
 	s.view.Store(v)
@@ -68,15 +68,15 @@ func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
 	v := s.readViewLocked()
 	ids := slices.Clone(v.ranked)
 	slices.SortFunc(ids, func(a, b tree.NodeID) int {
-		return strings.Compare(s.tree.Label(a), s.tree.Label(b))
+		return strings.Compare(s.state.Tree.Label(a), s.state.Tree.Label(b))
 	})
 	// TotalReward sums the served table, so it reflects withheld
 	// payouts while Total (raw contribution) stays as recorded.
 	resp := rewardsResponse{
 		Mechanism:    s.mech.Name(),
-		Total:        s.tree.Total(),
+		Total:        s.state.Tree.Total(),
 		TotalReward:  v.rewards.Total(),
-		Budget:       s.mech.Params().Phi * s.tree.Total(),
+		Budget:       s.mech.Params().Phi * s.state.Tree.Total(),
 		Participants: make([]Participant, len(ids)),
 	}
 	for i, u := range ids {

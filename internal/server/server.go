@@ -20,17 +20,21 @@
 //	GET  /v1/claims[?name=...]                               -> claims accounting
 //	GET  /v1/healthz                                         -> 200 ok
 //
-// All state lives in memory behind a single RWMutex. Rewards are served
-// from one maintained aggregate per participant, the mechanism's local
-// form (core.Local): a committed write re-folds only the root paths it
-// touched, a participant read costs O(depth), and the full table is one
-// O(n) pass. Every served reward equals the mechanism's Rewards bit for
-// bit. With WithBatching, writes flow through a group-commit ingest
-// pipeline (one lock acquisition, journal sync, and re-fold per batch;
-// full queues shed with 429). The first table read of each committed
-// version ranks every participant once, by reward then name; after
-// that a leaderboard read builds only its k rows, and /v1/rewards
-// sorts the ranking by name and builds all n (see readpath.go).
+// All state lives in memory behind a single RWMutex, as one
+// journal.State. Every write commits through one function
+// (commitLocked): journal.State.Apply checks and applies each event,
+// one journal append records them, and a failed append undoes them.
+// Rewards are served from one maintained aggregate per participant,
+// the mechanism's local form (core.Local): a committed write re-folds
+// only the root paths it touched, a participant read costs O(depth),
+// and the full table is one O(n) pass. Every served reward equals the
+// mechanism's Rewards bit for bit. With WithBatching, writes flow
+// through a group-commit ingest pipeline (one lock acquisition,
+// journal sync, and re-fold per batch; full queues shed with 429).
+// The first table read of each committed version ranks every
+// participant once, by reward then name; after that a leaderboard read
+// builds only its k rows, and /v1/rewards sorts the ranking by name and
+// builds all n (see readpath.go).
 package server
 
 import (
@@ -66,36 +70,31 @@ type Server struct {
 	viewMu               sync.Mutex
 	viewHits, viewMisses *obs.Counter
 
-	mu   sync.RWMutex
-	tree *tree.Tree
-	// agg holds the local form's aggregate A(u) for every node of tree.
-	// Only committed state reaches it: a batch re-folds the root paths it
+	mu sync.RWMutex
+	// state changes only through commitLocked and ApplyReplicated; a
+	// restore or recovery replaces it.
+	state *journal.State
+	// agg holds the local form's aggregate A(u) for every node. Only
+	// committed state reaches it: a batch re-folds the root paths it
 	// touched after its journal append succeeds (see refoldLocked).
 	agg []float64
 	// total is C(T) as tree.Total sums it, kept current only when the
 	// local form reads it.
-	total   float64
-	byKey   map[string]tree.NodeID
-	lastSeq uint64
-	// quarantined holds names whose subtrees are withheld from payout;
-	// journaled alongside joins/contributions (see quarantine.go).
-	quarantined map[string]bool
+	total float64
 	// commitHook, when set, observes committed batches and restores; it
 	// runs under the write lock (see SetCommitObserver).
 	commitHook func(version uint64, touched []string)
 	// auditor, when set, backs the audit report/scan endpoints (see
 	// audit_http.go and SetAuditor).
 	auditor *audit.Auditor
-	// ledger holds the settled epochs and claims (see settle_http.go);
 	// epochBudget, when non-zero, overrides the mechanism's Phi as the
 	// pool accrual fraction (WithEpochBudget).
-	ledger      *journal.Ledger
 	epochBudget float64
 	// settleObs, when metrics are attached, counts settle/claim
 	// operations (see settle_http.go).
 	settleObs *settleCounters
-	// version counts committed batches and state restores; it keys the
-	// read view and, unlike lastSeq, never moves backwards in-process.
+	// version counts commits that change what a read returns, and
+	// restores; it keys the read view and never moves backwards.
 	version uint64
 }
 
@@ -106,7 +105,7 @@ func New(m core.Mechanism, opts ...Option) *Server {
 	if local == nil {
 		panic(fmt.Sprintf("server: mechanism %s has no local form", m.Name()))
 	}
-	s := &Server{mech: m, local: local, tree: tree.New(), agg: []float64{0}, byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger(),
+	s := &Server{mech: m, local: local, state: journal.NewState(), agg: []float64{0},
 		viewHits: new(obs.Counter), viewMisses: new(obs.Counter)}
 	for _, opt := range opts {
 		opt(s)
@@ -250,7 +249,7 @@ func (s *Server) handleParticipant(w http.ResponseWriter, r *http.Request) {
 func (s *Server) participant(name string) (Participant, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	id, ok := s.byKey[name]
+	id, ok := s.state.ByName[name]
 	if !ok {
 		return Participant{}, fmt.Errorf("unknown participant %q", name)
 	}
@@ -264,24 +263,24 @@ func (s *Server) viewLocked(id tree.NodeID) Participant {
 	if s.maskedLocked(id) {
 		return s.viewOfLocked(id, 0, true)
 	}
-	return s.viewOfLocked(id, s.local.Reward(s.tree, s.agg, id, s.total), false)
+	return s.viewOfLocked(id, s.local.Reward(s.state.Tree, s.agg, id, s.total), false)
 }
 
 // viewOfLocked builds one participant's wire view around its served
 // reward and quarantine state.
 func (s *Server) viewOfLocked(id tree.NodeID, reward float64, quarantined bool) Participant {
 	sponsor := ""
-	if p := s.tree.Parent(id); p != tree.Root {
-		sponsor = s.tree.Label(p)
+	if p := s.state.Tree.Parent(id); p != tree.Root {
+		sponsor = s.state.Tree.Label(p)
 	}
-	c := s.tree.Contribution(id)
+	c := s.state.Tree.Contribution(id)
 	return Participant{
-		Name:         s.tree.Label(id),
+		Name:         s.state.Tree.Label(id),
 		Sponsor:      sponsor,
 		Contribution: c,
 		Reward:       reward,
 		Profit:       reward - c,
-		Recruits:     s.tree.NumChildren(id),
+		Recruits:     s.state.Tree.NumChildren(id),
 		Quarantined:  quarantined,
 	}
 }
@@ -290,9 +289,9 @@ func (s *Server) viewOfLocked(id tree.NodeID, reward float64, quarantined bool) 
 // maintained aggregates in one O(n) pass. Callers hold at least the
 // read lock.
 func (s *Server) rewardsLocked() core.Rewards {
-	r := make(core.Rewards, s.tree.Len())
+	r := make(core.Rewards, s.state.Tree.Len())
 	for id := 1; id < len(r); id++ {
-		r[id] = s.local.Reward(s.tree, s.agg, tree.NodeID(id), s.total)
+		r[id] = s.local.Reward(s.state.Tree, s.agg, tree.NodeID(id), s.total)
 	}
 	return r
 }
@@ -300,7 +299,7 @@ func (s *Server) rewardsLocked() core.Rewards {
 func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, s.tree)
+	writeJSON(w, http.StatusOK, s.state.Tree)
 }
 
 // statsResponse is the enriched /v1/stats payload: tree shape plus the
@@ -325,11 +324,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
-		Tree:        s.tree.ComputeStats(),
+		Tree:        s.state.Tree.ComputeStats(),
 		TotalReward: s.rewardsLocked().Total(),
-		Budget:      s.mech.Params().Phi * s.tree.Total(),
-		LastSeq:     s.lastSeq,
-		Quarantined: len(s.quarantined),
+		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
+		LastSeq:     s.state.LastSeq,
+		Quarantined: len(s.state.Quarantined),
 	}
 	s.mu.RUnlock()
 	if resp.Budget > 0 {

@@ -16,11 +16,11 @@ import (
 // served reward table (quarantined subtrees already masked to zero)
 // into one journal.KindSettle record against the epoch's budget pool;
 // Claim pays out one (participant, epoch) share as a journal.KindClaim
-// record. Both are journal-first like every other write: nothing
-// mutates until the record is durable. The replayed ledger state lives
-// in journal.Ledger, so checkpoint recovery, kill -9 replay, and
-// follower replication all rebuild it through the same code path and
-// re-check the same invariants.
+// record. Both commit like every other write (commitLocked): applied
+// through journal.State.Apply, journaled, and undone if the append
+// fails. The ledger state lives in journal.Ledger, so the live path,
+// checkpoint recovery, kill -9 replay, and follower replication all
+// change it through the same code and re-check the same invariants.
 
 // Settlement error sentinels, matched with errors.Is by the HTTP layer.
 var (
@@ -131,9 +131,9 @@ type claimsAccount struct {
 }
 
 func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
-	se, _ := s.ledger.Epoch(n)
-	settled := s.ledger.SettledAmount(n)
-	claimed := s.ledger.ClaimedAmount(n)
+	se, _ := s.state.Ledger.Epoch(n)
+	settled := s.state.Ledger.SettledAmount(n)
+	claimed := s.state.Ledger.ClaimedAmount(n)
 	return EpochSummary{
 		Epoch:     se.Epoch,
 		Pool:      se.Pool,
@@ -141,7 +141,7 @@ func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
 		Settled:   settled,
 		Claimed:   claimed,
 		Unclaimed: settled - claimed,
-		CarryOut:  s.ledger.CarryOut(n),
+		CarryOut:  s.state.Ledger.CarryOut(n),
 		Shares:    len(se.Rewards),
 		Claims:    len(se.Claimed),
 	}
@@ -160,42 +160,28 @@ func (s *Server) Settle() (EpochSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rewards, _ := s.servedRewardsLocked()
-	nodes := s.tree.Nodes()
+	nodes := s.state.Tree.Nodes()
 	entries := make([]settle.Entry, 0, len(nodes))
 	for _, u := range nodes {
-		entries = append(entries, settle.Entry{Name: s.tree.Label(u), Reward: rewards.Of(u)})
+		entries = append(entries, settle.Entry{Name: s.state.Tree.Label(u), Reward: rewards.Of(u)})
 	}
-	cPrev, carry := s.ledger.AccrualBasis()
+	cPrev, carry := s.state.Ledger.AccrualBasis()
 	in := settle.Input{
-		Epoch:      s.ledger.NextEpoch(),
+		Epoch:      s.state.Ledger.NextEpoch(),
 		BudgetFrac: s.budgetFracLocked(),
-		CNow:       s.tree.Total(),
+		CNow:       s.state.Tree.Total(),
 		CPrev:      cPrev,
 		Carry:      carry,
 	}
-	ev, stats, ok := settle.Compute(in, entries, s.ledger.SettledOf)
+	ev, stats, ok := settle.Compute(in, entries, s.state.Ledger.SettledOf)
 	if !ok {
 		return EpochSummary{}, ErrNothingToSettle
 	}
-	// Journal first: nothing mutates until the record is durable, so a
-	// failed append leaves memory and log in agreement.
-	if s.journal != nil {
-		//itreevet:ignore journalfirst servedRewardsLocked above only reads the reward aggregates (the analyzer takes every *Locked call for a write); ledger state mutates after the append
-		pe, err := s.journal.Append(ev)
-		if err != nil {
-			return EpochSummary{}, fmt.Errorf("%w: %w", errJournalAppend, err)
-		}
-		ev = pe
-	} else {
-		ev.Seq = s.lastSeq + 1
+	// Compute satisfies the ledger invariants by construction, so an
+	// error here is a failed append (503) or a bug (500).
+	if err := s.commitLocked([]journal.Event{ev})[0]; err != nil {
+		return EpochSummary{}, err
 	}
-	if err := s.ledger.ApplySettle(ev); err != nil {
-		// Compute produces records that satisfy the ledger invariants by
-		// construction; a refusal here is a bug, surfaced loudly rather
-		// than leaving the durable record unapplied.
-		return EpochSummary{}, fmt.Errorf("server: settle apply: %w", err)
-	}
-	s.lastSeq = ev.Seq
 	if s.settleObs != nil {
 		s.settleObs.settles.Inc()
 		s.settleObs.capped.Add(uint64(stats.Capped))
@@ -205,50 +191,39 @@ func (s *Server) Settle() (EpochSummary, error) {
 
 // Claim pays out name's share of the given settled epoch (0 means the
 // latest). Claims are idempotent per (participant, epoch): a second
-// claim fails with ErrAlreadyClaimed (409) and credits nothing — the
-// journal-first order guarantees that holds across a crash between
-// append and response, too.
+// claim fails with ErrAlreadyClaimed (409) and credits nothing. That
+// holds across a crash between append and response, too: the claim is
+// in the log, so recovery replays it.
 func (s *Server) Claim(name string, epoch uint64) (ClaimReceipt, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byKey[name]; !ok {
+	if _, ok := s.state.ByName[name]; !ok {
 		return ClaimReceipt{}, fmt.Errorf("%w %q", ErrUnknownParticipant, name)
 	}
 	if epoch == 0 {
-		epoch = uint64(s.ledger.Epochs())
+		epoch = uint64(s.state.Ledger.Epochs())
 	}
-	if epoch == 0 || epoch > uint64(s.ledger.Epochs()) {
+	if epoch == 0 || epoch > uint64(s.state.Ledger.Epochs()) {
 		return ClaimReceipt{}, fmt.Errorf("%w: epoch %d", ErrEpochNotSettled, epoch)
 	}
-	share, ok := s.ledger.Share(epoch, name)
+	share, ok := s.state.Ledger.Share(epoch, name)
 	if !ok {
 		return ClaimReceipt{}, fmt.Errorf("%w %d for %q", ErrNoShare, epoch, name)
 	}
-	if s.ledger.HasClaimed(epoch, name) {
+	if s.state.Ledger.HasClaimed(epoch, name) {
 		if s.settleObs != nil {
 			s.settleObs.claimConflicts.Inc()
 		}
 		return ClaimReceipt{}, fmt.Errorf("share of epoch %d %w by %q", epoch, ErrAlreadyClaimed, name)
 	}
 	ev := journal.Event{Kind: journal.KindClaim, Name: name, Epoch: epoch, Amount: share}
-	if s.journal != nil {
-		//itreevet:ignore journalfirst the earlier mutation is the conflict metrics counter on the already-claimed return path, not journaled state
-		pe, err := s.journal.Append(ev)
-		if err != nil {
-			return ClaimReceipt{}, fmt.Errorf("%w: %w", errJournalAppend, err)
-		}
-		ev = pe
-	} else {
-		ev.Seq = s.lastSeq + 1
+	if err := s.commitLocked([]journal.Event{ev})[0]; err != nil {
+		return ClaimReceipt{}, err
 	}
-	if err := s.ledger.ApplyClaim(ev); err != nil {
-		return ClaimReceipt{}, fmt.Errorf("server: claim apply: %w", err)
-	}
-	s.lastSeq = ev.Seq
 	if s.settleObs != nil {
 		s.settleObs.claims.Inc()
 	}
-	return ClaimReceipt{Name: name, Epoch: epoch, Amount: share, Seq: ev.Seq}, nil
+	return ClaimReceipt{Name: name, Epoch: epoch, Amount: share, Seq: s.state.LastSeq}, nil
 }
 
 // LedgerView returns the number of settled epochs plus cumulative
@@ -256,23 +231,23 @@ func (s *Server) Claim(name string, epoch uint64) (ClaimReceipt, error) {
 func (s *Server) LedgerView() (epochs int, settled, claimed, carry float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	epochs = s.ledger.Epochs()
+	epochs = s.state.Ledger.Epochs()
 	for n := uint64(1); n <= uint64(epochs); n++ {
-		settled += s.ledger.SettledAmount(n)
-		claimed += s.ledger.ClaimedAmount(n)
+		settled += s.state.Ledger.SettledAmount(n)
+		claimed += s.state.Ledger.ClaimedAmount(n)
 	}
-	_, carry = s.ledger.AccrualBasis()
+	_, carry = s.state.Ledger.AccrualBasis()
 	return epochs, settled, claimed, carry
 }
 
 func (s *Server) handleEpochs(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	n := s.ledger.Epochs()
+	n := s.state.Ledger.Epochs()
 	resp := epochsResponse{
-		NextEpoch:  s.ledger.NextEpoch(),
+		NextEpoch:  s.state.Ledger.NextEpoch(),
 		BudgetFrac: s.budgetFracLocked(),
 	}
-	resp.CSettled, resp.Carry = s.ledger.AccrualBasis()
+	resp.CSettled, resp.Carry = s.state.Ledger.AccrualBasis()
 	for i := uint64(1); i <= uint64(n); i++ {
 		sum := s.epochSummaryLocked(i)
 		resp.SettledTotal += sum.Settled
@@ -290,7 +265,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	se, ok := s.ledger.Epoch(n)
+	se, ok := s.state.Ledger.Epoch(n)
 	var detail epochDetail
 	if ok {
 		detail = epochDetail{EpochSummary: s.epochSummaryLocked(n), Rewards: se.Rewards, Claimed: se.Claimed}
@@ -337,32 +312,32 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	if name == "" {
 		acct := claimsAccount{}
-		for n := uint64(1); n <= uint64(s.ledger.Epochs()); n++ {
-			acct.Settled += s.ledger.SettledAmount(n)
-			acct.Claimed += s.ledger.ClaimedAmount(n)
-			se, _ := s.ledger.Epoch(n)
+		for n := uint64(1); n <= uint64(s.state.Ledger.Epochs()); n++ {
+			acct.Settled += s.state.Ledger.SettledAmount(n)
+			acct.Claimed += s.state.Ledger.ClaimedAmount(n)
+			se, _ := s.state.Ledger.Epoch(n)
 			acct.Claims += len(se.Claimed)
 		}
 		acct.Unclaimed = acct.Settled - acct.Claimed
 		writeJSON(w, http.StatusOK, acct)
 		return
 	}
-	if _, ok := s.byKey[name]; !ok {
+	if _, ok := s.state.ByName[name]; !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("unknown participant %q", name)})
 		return
 	}
 	acct := claimsAccount{
 		Name:    name,
-		Settled: s.ledger.SettledOf(name),
-		Claimed: s.ledger.ClaimedOf(name),
+		Settled: s.state.Ledger.SettledOf(name),
+		Claimed: s.state.Ledger.ClaimedOf(name),
 	}
 	acct.Unclaimed = acct.Settled - acct.Claimed
-	for n := uint64(1); n <= uint64(s.ledger.Epochs()); n++ {
-		amt, ok := s.ledger.Share(n, name)
+	for n := uint64(1); n <= uint64(s.state.Ledger.Epochs()); n++ {
+		amt, ok := s.state.Ledger.Share(n, name)
 		if !ok {
 			continue
 		}
-		claimed := s.ledger.HasClaimed(n, name)
+		claimed := s.state.Ledger.HasClaimed(n, name)
 		if claimed {
 			acct.Claims++
 		}

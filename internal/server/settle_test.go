@@ -35,7 +35,7 @@ func checkLedgerInvariant(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l := s.ledger
+	l := s.state.Ledger
 	for n := uint64(1); n <= uint64(l.Epochs()); n++ {
 		se, ok := l.Epoch(n)
 		if !ok {
@@ -164,7 +164,7 @@ func TestSettleAccruesDeltaAndCarry(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.mu.RLock()
-		settled := s.ledger.SettledOf(name)
+		settled := s.state.Ledger.SettledOf(name)
 		s.mu.RUnlock()
 		if settled > p.Reward+1e-12 {
 			t.Fatalf("%s: settled %v > reward %v", name, settled, p.Reward)
@@ -183,7 +183,7 @@ func TestSettleExcludesQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.RLock()
-	se, _ := s.ledger.Epoch(1)
+	se, _ := s.state.Ledger.Epoch(1)
 	s.mu.RUnlock()
 	for _, r := range se.Rewards {
 		if r.Name == "b" || r.Name == "c" { // c is inside b's subtree
@@ -214,7 +214,7 @@ func TestSettleExcludesQuarantined(t *testing.T) {
 	}
 	found := false
 	s.mu.RLock()
-	se2, _ := s.ledger.Epoch(2)
+	se2, _ := s.state.Ledger.Epoch(2)
 	s.mu.RUnlock()
 	for _, r := range se2.Rewards {
 		if r.Name == "b" {
@@ -272,8 +272,8 @@ func TestSettleLedgerInvariantAcrossRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		r2.mu.RLock()
-		if r2.ledger.Epochs() != 1 || !r2.ledger.HasClaimed(1, "a") {
-			t.Fatalf("snapshot recovery ledger: epochs=%d", r2.ledger.Epochs())
+		if r2.state.Ledger.Epochs() != 1 || !r2.state.Ledger.HasClaimed(1, "a") {
+			t.Fatalf("snapshot recovery ledger: epochs=%d", r2.state.Ledger.Epochs())
 		}
 		r2.mu.RUnlock()
 		checkLedgerInvariant(t, r2)

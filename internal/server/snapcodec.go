@@ -13,10 +13,10 @@ import (
 )
 
 // Binary snapshot codec. The JSON snapshot remains the HTTP wire format
-// (/v1/snapshot, /v1/restore, the replica bootstrap document) and the
-// debug/export representation; the binary form is what checkpoints
-// write to disk, because decoding it is a handful of linear array scans
-// instead of a million-node recursive JSON unmarshal.
+// of /v1/snapshot and /v1/restore and the debug/export representation;
+// the binary form is what checkpoints write to disk and what a
+// follower bootstraps from, because decoding it is a handful of linear
+// array scans instead of a million-node recursive JSON unmarshal.
 //
 // Layout (integers little-endian, varints canonical):
 //

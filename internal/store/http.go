@@ -66,15 +66,15 @@ type errorResponse struct {
 }
 
 func (st *Store) info(c *Campaign) campaignInfo {
-	snap := c.srv.SnapshotState()
+	participants, total, lastSeq := c.srv.Summary()
 	return campaignInfo{
 		ID:           c.Meta.ID,
 		Mechanism:    c.Meta.Mechanism,
 		Phi:          c.Meta.Params.Phi,
 		Fair:         c.Meta.Params.FairShare,
-		Participants: snap.Tree.NumParticipants(),
-		Contribution: snap.Tree.Total(),
-		LastSeq:      snap.LastSeq,
+		Participants: participants,
+		Contribution: total,
+		LastSeq:      lastSeq,
 	}
 }
 

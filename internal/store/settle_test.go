@@ -158,7 +158,7 @@ func TestClaimReplayIdempotentAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	jw := journal.NewWriter(fw, lastSeq+1)
-	if _, err := jw.Append(journal.Event{Kind: journal.KindClaim, Name: "a", Epoch: 1, Amount: detail.Rewards[0].Amount}); err != nil {
+	if _, err := jw.AppendBatch([]journal.Event{{Kind: journal.KindClaim, Name: "a", Epoch: 1, Amount: detail.Rewards[0].Amount}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {

@@ -1,7 +1,8 @@
 // Package errflow enforces error propagation on the calls whose
-// failures threaten durability: journal appends (Writer.Append,
-// AppendBatch), syncs (Writer.Sync, os.File.Sync — the fsync path),
-// and ledger applies (Ledger.ApplySettle / ApplyClaim). The error each
+// failures threaten durability: journal appends (Writer.Append*),
+// syncs (Writer.Sync, os.File.Sync — the fsync path), state applies
+// (State.Apply, the one code that changes a campaign's state) and
+// ledger applies (Ledger.ApplySettle / ApplyClaim). The error each
 // returns must reach a return statement, be stored, or be read on
 // every path out of the enclosing function; assignment to the blank
 // identifier, discarding the results outright, overwriting the
@@ -26,7 +27,7 @@ import (
 func New() *vet.Analyzer {
 	return &vet.Analyzer{
 		Name: "errflow",
-		Doc:  "errors from journal appends, syncs, and ledger applies must reach a return, a store, or a read on every path",
+		Doc:  "errors from journal appends, syncs, and state and ledger applies must reach a return, a store, or a read on every path",
 		Run:  run,
 	}
 }
@@ -104,6 +105,8 @@ func trackedCall(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
 	switch {
 	case pkg == "journal" && typ == "Writer" && (strings.HasPrefix(name, "Append") || name == "Sync"):
 		return fn, "journal." + name
+	case pkg == "journal" && typ == "State" && name == "Apply":
+		return fn, "journal.State.Apply"
 	case pkg == "journal" && typ == "Ledger" && strings.HasPrefix(name, "Apply"):
 		return fn, "journal.Ledger." + name
 	case pkg == "settle" && strings.HasPrefix(name, "Apply"):

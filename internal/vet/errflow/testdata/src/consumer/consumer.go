@@ -110,3 +110,28 @@ func Waived(jw *journal.Writer, e journal.Event) journal.Event {
 	ev, _ := jw.Append(e)
 	return ev
 }
+
+// ApplyBlank drops a state apply's error: the caller would journal an
+// event the state refused.
+func ApplyBlank(st *journal.State, e journal.Event) journal.Undo {
+	u, _ := st.Apply(e) // want `error from journal.State.Apply assigned to _`
+	return u
+}
+
+// ApplyDiscarded ignores the apply's results entirely.
+func ApplyDiscarded(st *journal.State, e journal.Event) {
+	st.Apply(e) // want `return values of journal.State.Apply discarded`
+}
+
+// ApplyChecked skips the refused event: no finding.
+func ApplyChecked(st *journal.State, events []journal.Event) []journal.Undo {
+	var undos []journal.Undo
+	for _, e := range events {
+		u, err := st.Apply(e)
+		if err != nil {
+			continue
+		}
+		undos = append(undos, u)
+	}
+	return undos
+}

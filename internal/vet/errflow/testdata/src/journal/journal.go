@@ -42,3 +42,17 @@ func (l *Ledger) ApplyClaim(e Event) error {
 	l.applied++
 	return nil
 }
+
+type Undo struct {
+	seq uint64
+}
+
+type State struct {
+	LastSeq uint64
+}
+
+func (st *State) Apply(e Event) (Undo, error) {
+	u := Undo{seq: st.LastSeq}
+	st.LastSeq = e.Seq
+	return u, nil
+}
