@@ -27,12 +27,15 @@ var goldenTables = map[string][2]string{
 }
 
 // goldenServer applies a seeded treegen.Mix population to a fresh
-// server for mechanism name, then adds four childless top-level
-// participants with equal contributions (so rewards tie on the
-// leaderboard) and quarantines one participant with descendants.
+// server for mechanism name and reads its leaderboard, then adds four
+// childless top-level participants with equal contributions (so
+// rewards tie on the leaderboard) and quarantines one participant with
+// descendants. The pinned tables are thus ranked from that earlier
+// version's ranking.
 func goldenServer(t *testing.T, name string) *Server {
 	t.Helper()
 	s, sc := mixServer(t, name, treegen.ScenarioConfig{Honest: 300, EpsilonChains: 2, Stars: 2})
+	body(t, s, "/v1/leaderboard")
 	for i := 0; i < 4; i++ {
 		tie := fmt.Sprintf("tie-%d", i)
 		if err := s.Join(tie, ""); err != nil {

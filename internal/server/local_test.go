@@ -82,8 +82,10 @@ func checkServed(t testing.TB, where string, p Participant, want map[string]serv
 	}
 }
 
-// assertServedMatches requires every participant view and the
-// /v1/rewards table to equal the masked full evaluation bit for bit.
+// assertServedMatches requires every participant view, the /v1/rewards
+// table and the full leaderboard to equal the masked full evaluation
+// bit for bit, the leaderboard listing exactly the oracle's
+// participants by reward descending, then name ascending.
 func assertServedMatches(t testing.TB, s *Server) {
 	t.Helper()
 	want := servedOracle(t, s)
@@ -103,6 +105,21 @@ func assertServedMatches(t testing.TB, s *Server) {
 	}
 	for _, p := range table.Participants {
 		checkServed(t, "/v1/rewards", p, want)
+	}
+	var lb leaderboardResponse
+	if err := json.Unmarshal(body(t, s, fmt.Sprintf("/v1/leaderboard?k=%d", max(len(want), 1))), &lb); err != nil {
+		t.Fatal(err)
+	}
+	if lb.Participants != len(want) || len(lb.Leaders) != len(want) {
+		t.Fatalf("/v1/leaderboard lists %d of %d participants, want all %d", len(lb.Leaders), lb.Participants, len(want))
+	}
+	// len(want) rows in strict order, each served as the oracle has it,
+	// are the oracle's participants, each once, in the oracle's order.
+	if err := checkLeaderboard(lb); err != nil {
+		t.Fatalf("/v1/leaderboard: %v", err)
+	}
+	for _, p := range lb.Leaders {
+		checkServed(t, "/v1/leaderboard", p, want)
 	}
 }
 
@@ -306,17 +323,27 @@ func randomSnapshot(t *testing.T, seed int64, n int) Snapshot {
 
 // TestForTreeMatchesFullEvaluation is the recovery path: aggregates
 // folded from a restored tree must serve exactly the full evaluation,
-// and stay exact under further writes.
+// and stay exact under further writes. The restore lands on a fresh
+// server, and on one that served a leaderboard over a larger
+// population: its ranking lists more ids than the restored tree holds.
 func TestForTreeMatchesFullEvaluation(t *testing.T) {
 	for _, name := range experiments.MechanismNames() {
 		t.Run(name, func(t *testing.T) {
-			s := New(suiteMechanism(t, name))
-			if err := s.RestoreState(randomSnapshot(t, 7, 200)); err != nil {
-				t.Fatal(err)
+			for _, before := range []int{0, 300} {
+				s := New(suiteMechanism(t, name))
+				if before > 0 {
+					if err := s.RestoreState(randomSnapshot(t, 5, before)); err != nil {
+						t.Fatal(err)
+					}
+					body(t, s, "/v1/leaderboard")
+				}
+				if err := s.RestoreState(randomSnapshot(t, 7, 200)); err != nil {
+					t.Fatal(err)
+				}
+				assertServedMatches(t, s)
+				randomWorkload(t, s, 11, 50)
+				assertServedMatches(t, s)
 			}
-			assertServedMatches(t, s)
-			randomWorkload(t, s, 11, 50)
-			assertServedMatches(t, s)
 		})
 	}
 }

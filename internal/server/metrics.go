@@ -126,7 +126,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.viewHits = reg.Counter("itree_rewards_cache_hits_total",
 		"Reward-table reads served from the versioned cache.", labels...)
 	s.viewMisses = reg.Counter("itree_rewards_cache_misses_total",
-		"Reward-table cache rebuilds (one pass over the reward aggregates each).", labels...)
+		"Reward-table cache rebuilds (one pass over the reward aggregates and a re-sort of the previous version's ranking each).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
 }
 

@@ -25,7 +25,7 @@ var (
 // contributions — and hence every other participant's reward — stay
 // exactly as recorded. The flag is journaled (crash-recoverable,
 // replicated) and moves the commit version so the next table read
-// ranks afresh.
+// re-ranks: every id in the subtree changes reward at once.
 func (s *Server) Quarantine(name string) error {
 	return s.commit(journal.Event{Kind: journal.KindQuarantine, Name: name})
 }

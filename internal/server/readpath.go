@@ -14,8 +14,9 @@ import (
 // readView is the read side of one committed version: the served
 // reward table (quarantined subtrees read zero), the mask that flags
 // them (nil when no quarantine is active), and every participant id
-// ranked by reward descending, then name ascending. The table reads
-// build Participant views only for the rows they return.
+// ranked by reward descending, then name ascending (re-sorted from the
+// previous view's ranking, see readViewLocked). The table reads build
+// Participant views only for the rows they return.
 type readView struct {
 	version uint64
 	rewards core.Rewards
@@ -31,6 +32,15 @@ func (v *readView) masked(u tree.NodeID) bool { return v.mask != nil && v.mask[u
 // misses on one version build once. Callers hold the read lock, which
 // keeps s.version fixed for the whole call and for as long as they use
 // the view; the view mutex nests inside it.
+//
+// A miss sorts the previous view's ranking plus the ids that joined
+// since, so its cost tracks how many ids changed reward between the
+// two versions and never exceeds a sort from id order. Under TDRM,
+// CDRM and Geometric a commit moves only the ids on the root paths it
+// touched, and pdqsort places the nearly sorted input in close to one
+// pass. Every ranking is a permutation of 1..len, so only a restore to
+// a smaller tree (a previous ranking longer than the tree) starts from
+// id order instead.
 func (s *Server) readViewLocked() *readView {
 	if v := s.view.Load(); v != nil && v.version == s.version {
 		s.viewHits.Inc()
@@ -38,15 +48,20 @@ func (s *Server) readViewLocked() *readView {
 	}
 	s.viewMu.Lock() //itreevet:ignore lockedcall the caller holds s.mu; viewMu is a second mutex nested inside it that serializes view builds
 	defer s.viewMu.Unlock()
-	if v := s.view.Load(); v != nil && v.version == s.version {
+	prev := s.view.Load()
+	if prev != nil && prev.version == s.version {
 		s.viewHits.Inc()
-		return v
+		return prev
 	}
 	s.viewMisses.Inc()
 	rewards, mask := s.servedRewardsLocked()
-	ranked := make([]tree.NodeID, s.state.Tree.NumParticipants())
-	for i := range ranked {
-		ranked[i] = tree.NodeID(i + 1)
+	n := s.state.Tree.NumParticipants()
+	ranked := make([]tree.NodeID, 0, n)
+	if prev != nil && len(prev.ranked) <= n {
+		ranked = append(ranked, prev.ranked...)
+	}
+	for u := len(ranked) + 1; u <= n; u++ {
+		ranked = append(ranked, tree.NodeID(u))
 	}
 	slices.SortFunc(ranked, func(a, b tree.NodeID) int {
 		if c := cmp.Compare(rewards[b], rewards[a]); c != 0 {
