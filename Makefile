@@ -77,8 +77,9 @@ fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzServedRewardsMatchEvaluation -fuzztime=$(FUZZTIME) ./internal/server/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
-# itreeload burst through the batched ingest pipeline, and verifies
-# zero failed requests plus a clean graceful shutdown.
+# itreeload burst through group commit, and verifies zero failed
+# requests, a drained write queue with no drain goroutine left, and a
+# clean graceful shutdown.
 loadsmoke:
 	GO=$(GO) sh scripts/loadsmoke.sh
 

@@ -23,7 +23,6 @@ import (
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/server"
@@ -316,7 +315,7 @@ func BenchmarkObsPrimitives(b *testing.B) {
 // one. batch=1 is the unbatched baseline: one fsync, one lock
 // acquisition, and one reward recompute per operation; larger caps
 // spread those over whole batches. ns/op here is per submitted
-// contribution, end to end through the committer.
+// contribution, end to end through the write queue.
 func BenchmarkIngestBatchSizes(b *testing.B) {
 	const (
 		population = 64
@@ -334,11 +333,8 @@ func BenchmarkIngestBatchSizes(b *testing.B) {
 			}
 			s := server.New(m,
 				server.WithJournal(journal.NewWriter(fw, 1)),
-				server.WithBatching(ingest.Options{BatchMax: batchMax, QueueDepth: 8192}))
-			defer func() {
-				s.CloseIngest()
-				fw.Close()
-			}()
+				server.WithGroupCommit(batchMax, 8192))
+			defer fw.Close()
 			for i := 0; i < population; i++ {
 				if err := s.Join(fmt.Sprintf("p%03d", i), ""); err != nil {
 					b.Fatal(err)

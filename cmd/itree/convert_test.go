@@ -245,7 +245,7 @@ func TestConvertMigratesDataDir(t *testing.T) {
 		return experiments.ByName(p, name)
 	}
 	cfg := func(dir string) store.Config {
-		return store.Config{DataDir: dir, CheckpointInterval: -1, CheckpointBytes: -1, BatchMax: -1, NewMechanism: newMechanism}
+		return store.Config{DataDir: dir, CheckpointInterval: -1, CheckpointBytes: -1, NewMechanism: newMechanism}
 	}
 	get := func(st *store.Store, path string) string {
 		t.Helper()

@@ -10,7 +10,7 @@
 //	       [-data-dir /var/lib/itreed] [-shards 16]
 //	       [-checkpoint-interval 30s] [-checkpoint-bytes 1048576]
 //	       [-journal-sync os|interval|always] [-journal-sync-interval 1s]
-//	       [-batch-max 64] [-batch-wait 0] [-queue-depth 1024]
+//	       [-batch-max 64] [-queue-depth 1024]
 //	       [-audit-interval 10s] [-audit-quarantine]
 //	       [-epoch-interval 1m] [-epoch-budget 0.4]
 //	       [-role primary|follower] [-primary http://host:8080]
@@ -89,7 +89,6 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/replica"
@@ -139,9 +138,6 @@ type daemon struct {
 func setupFollower(cfg store.Config, primary string, maxStaleness time.Duration, addr, debugAddr string, reg *obs.Registry, stdout io.Writer) (*daemon, error) {
 	cfg.DataDir = ""
 	cfg.Follower = true
-	// No ingest pipeline: writes never reach a follower (the middleware
-	// redirects them) and replicated events apply inline.
-	cfg.BatchMax = -1
 	st, err := store.Open(cfg)
 	if err != nil {
 		return nil, err
@@ -194,15 +190,14 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 	cpBytes := fs.Int64("checkpoint-bytes", store.DefaultCheckpointBytes,
 		"checkpoint a campaign once its journal exceeds this many bytes; <0 disables the size trigger")
 	syncPolicy := fs.String("journal-sync", string(journal.SyncOS),
-		"journal durability: os (page cache), interval (fsync periodically), always (fsync per event)")
+		"journal durability: os (page cache), interval (fsync inside an append once -journal-sync-interval has passed; "+
+			"the tail of a burst stays unsynced until the next append, checkpoint or shutdown), always (fsync per event)")
 	syncEvery := fs.Duration("journal-sync-interval", time.Second,
 		"flush period under -journal-sync=interval")
-	batchMax := fs.Int("batch-max", ingest.DefaultBatchMax,
-		"max operations per group commit; 1 = commit per event (unbatched ordering), <0 disables the ingest pipeline")
-	batchWait := fs.Duration("batch-wait", 0,
-		"how long a committer waits to fill a batch after its first op (0 = commit immediately once the queue is drained)")
-	queueDepth := fs.Int("queue-depth", ingest.DefaultQueueDepth,
-		"per-campaign ingest queue bound; a full queue sheds writes with 429")
+	batchMax := fs.Int("batch-max", server.DefaultBatchMax,
+		"max writes per group commit; 1 = commit per event in arrival order")
+	queueDepth := fs.Int("queue-depth", server.DefaultQueueDepth,
+		"per-campaign write queue bound; a full queue sheds writes with 429")
 	auditInterval := fs.Duration("audit-interval", 0,
 		"per-campaign Sybil audit scan cadence (0 disables the audit service)")
 	auditQuarantine := fs.Bool("audit-quarantine", false,
@@ -277,7 +272,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		Sync:               policy,
 		SyncInterval:       *syncEvery,
 		BatchMax:           *batchMax,
-		BatchWait:          *batchWait,
 		QueueDepth:         *queueDepth,
 		AuditInterval:      *auditInterval,
 		AuditQuarantine:    *auditQuarantine,

@@ -1,8 +1,7 @@
 // Command itreeload drives an itreed instance with a synthetic
 // join/contribute workload and reports throughput plus latency
-// percentiles, so the effect of the ingest pipeline's batching knobs
-// (-batch-max, -batch-wait, -queue-depth on itreed) can be measured
-// end to end.
+// percentiles, so the effect of group commit's two bounds (-batch-max
+// and -queue-depth on itreed) can be measured end to end.
 //
 // Usage:
 //

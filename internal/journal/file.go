@@ -27,9 +27,13 @@ const (
 	// historical behavior. A machine crash may lose recent events; a
 	// process crash does not (writes go straight to the kernel).
 	SyncOS SyncPolicy = "os"
-	// SyncInterval fsyncs on the first append after SyncEvery has
-	// elapsed since the previous sync, bounding machine-crash data loss
-	// to roughly one interval of events.
+	// SyncInterval fsyncs inside an append once SyncEvery has elapsed
+	// since the previous sync; no timer syncs on its own. While appends
+	// keep arriving, a machine crash loses about one interval of events
+	// at most. After the last append of a burst, the events since the
+	// previous sync stay unsynced until the next append, a compaction
+	// (the store's next checkpoint, whose snapshot covers them) or
+	// Close.
 	SyncInterval SyncPolicy = "interval"
 	// SyncAlways fsyncs after every append. Durable but slow: every
 	// write pays a device flush.

@@ -124,7 +124,6 @@ func startFollower(t *testing.T, primaryURL string, maxStaleness time.Duration) 
 	reg := obs.NewRegistry()
 	st, err := store.Open(store.Config{
 		Follower:     true,
-		BatchMax:     -1,
 		Metrics:      reg,
 		NewMechanism: newMech,
 	})

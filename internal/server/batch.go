@@ -7,118 +7,181 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"incentivetree/internal/core"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
 )
+
+// Defaults for WithGroupCommit values <= 0.
+const (
+	// DefaultBatchMax caps the writes one group commit takes. Batches
+	// form by coalescing: writes that arrive while a batch commits are
+	// taken together into the next one.
+	DefaultBatchMax = 64
+	// DefaultQueueDepth is the admission-control bound: the number of
+	// writes that may wait for a commit before a submit sheds load.
+	DefaultQueueDepth = 1024
+)
+
+// ErrQueueFull reports a write shed by admission control: the write
+// queue is full and the caller should retry later (HTTP: 429 with
+// Retry-After).
+var ErrQueueFull = errors.New("server: write queue full")
 
 // errJournalAppend marks a write the journal failed to persist. The
 // ops were valid; the log refused them (I/O error, or a journal file
 // left read-only by a failed rollback), so clients see 503, not 400.
 var errJournalAppend = errors.New("server: journal append")
 
-// WithBatching routes HTTP writes through a group-commit ingest
-// pipeline (see internal/ingest): requests enqueue onto a bounded
-// queue, a committer goroutine drains them into batches, and each
-// batch applies under one lock acquisition with one journal write
-// (one fsync under journal.SyncAlways) and one re-fold of the reward
-// aggregates on the root paths the batch touched.
-// A full queue sheds writes with 429 + Retry-After. When the options'
-// Registry is unset, the pipeline inherits the server's metrics
-// registry and labels. Callers owning the server's lifecycle must
-// call CloseIngest before closing the journal beneath it.
-func WithBatching(o ingest.Options) Option {
-	return func(s *Server) { opt := o; s.batching = &opt }
-}
-
-// CloseIngest stops the ingest committer, draining queued writes into
-// a final commit. Idempotent; a no-op for servers without batching.
-func (s *Server) CloseIngest() {
-	if s.committer != nil {
-		s.committer.Close()
+// WithGroupCommit bounds the write queue that SubmitJoin and
+// SubmitContribute feed: batchMax is the most writes one commit takes,
+// and queueDepth the most that may wait before a submit sheds with
+// ErrQueueFull. A value <= 0 keeps DefaultBatchMax or
+// DefaultQueueDepth. With batchMax = 1 every queued write commits on
+// its own, in arrival order.
+func WithGroupCommit(batchMax, queueDepth int) Option {
+	return func(s *Server) {
+		if batchMax > 0 {
+			s.batchMax = batchMax
+		}
+		if queueDepth > 0 {
+			s.queueDepth = queueDepth
+		}
 	}
 }
 
-// IngestQueueLen reports the ingest queue's current depth (0 without
-// batching) — used by tests and operational probes.
+// queuedWrite is one submitted write waiting for its commit.
+type queuedWrite struct {
+	event journal.Event
+	done  chan writeResult // buffered(1): the drainer never blocks on a gone waiter
+}
+
+// writeResult is one write's outcome: its participant's committed view,
+// or the write's own error.
+type writeResult struct {
+	p   Participant
+	err error
+}
+
+// IngestQueueLen reports how many writes wait in the queue, not
+// counting a batch being committed (the itree_ingest_queue_depth
+// gauge).
 func (s *Server) IngestQueueLen() int {
-	if s.committer == nil {
-		return 0
-	}
-	return s.committer.QueueLen()
+	s.queueMu.Lock()
+	defer s.queueMu.Unlock()
+	return len(s.queue)
 }
 
 // Join registers a participant programmatically (used by the daemon's
 // seeding flag and by tests). It commits directly — a batch of one —
-// without passing through the ingest queue.
+// without passing through the write queue.
 func (s *Server) Join(name, sponsor string) error {
-	return s.commit(opEvent(ingest.Op{Kind: ingest.OpJoin, Name: name, Sponsor: sponsor}))
+	return s.commit(joinEvent(name, sponsor))
 }
 
 // Contribute records work done by an existing participant, committed
 // directly as a batch of one.
 func (s *Server) Contribute(name string, amount float64) error {
-	return s.commit(opEvent(ingest.Op{Kind: ingest.OpContribute, Name: name, Amount: amount}))
+	return s.commit(journal.Event{Kind: journal.KindContribute, Name: name, Amount: amount})
 }
 
-// SubmitJoin routes a join through the ingest pipeline when one is
-// attached — blocking until its batch commits — and applies it as a
-// direct batch of one otherwise. The returned view is the committed
-// state's.
+// SubmitJoin queues a join for group commit and blocks until its batch
+// commits; the returned view is the committed state's. A full queue
+// sheds the join with ErrQueueFull. If ctx ends first, SubmitJoin
+// returns ctx.Err(), and the join still commits.
 func (s *Server) SubmitJoin(ctx context.Context, name, sponsor string) (Participant, error) {
-	return s.submit(ctx, ingest.Op{Kind: ingest.OpJoin, Name: name, Sponsor: sponsor})
+	return s.submit(ctx, joinEvent(name, sponsor))
 }
 
 // SubmitContribute is SubmitJoin for contributions.
 func (s *Server) SubmitContribute(ctx context.Context, name string, amount float64) (Participant, error) {
-	return s.submit(ctx, ingest.Op{Kind: ingest.OpContribute, Name: name, Amount: amount})
+	return s.submit(ctx, journal.Event{Kind: journal.KindContribute, Name: name, Amount: amount})
 }
 
-func (s *Server) submit(ctx context.Context, op ingest.Op) (Participant, error) {
-	if s.committer == nil {
-		res := s.ApplyBatch([]ingest.Op{op})[0]
-		if res.Err != nil {
-			return Participant{}, res.Err
+// joinEvent is the journal event of a join. The name is recorded
+// trimmed of surrounding space.
+func joinEvent(name, sponsor string) journal.Event {
+	return journal.Event{Kind: journal.KindJoin, Name: strings.TrimSpace(name), Sponsor: sponsor}
+}
+
+// submit appends e to the write queue, starts a drainer when none runs,
+// and waits for e's result.
+func (s *Server) submit(ctx context.Context, e journal.Event) (Participant, error) {
+	w := &queuedWrite{event: e, done: make(chan writeResult, 1)}
+	s.queueMu.Lock()
+	if len(s.queue) >= s.queueDepth {
+		s.queueMu.Unlock()
+		s.shed.Inc()
+		return Participant{}, ErrQueueFull
+	}
+	s.queue = append(s.queue, w)
+	start := !s.draining
+	s.draining = true
+	s.queueMu.Unlock()
+	if start {
+		go s.drain()
+	}
+	select {
+	case r := <-w.done:
+		return r.p, r.err
+	case <-ctx.Done():
+		return Participant{}, ctx.Err()
+	}
+}
+
+// drain commits the queue in arrival order, at most batchMax writes per
+// commit, wakes each waiter with its own result, and returns once it
+// finds the queue empty. It clears draining under the same lock as that
+// check, so a write queued after it starts the next drainer.
+func (s *Server) drain() {
+	var batch []*queuedWrite
+	var events []journal.Event
+	for {
+		s.queueMu.Lock()
+		n := min(len(s.queue), s.batchMax)
+		if n == 0 {
+			s.draining = false
+			s.queueMu.Unlock()
+			return
 		}
-		return res.Value.(Participant), nil
+		batch = append(batch[:0], s.queue[:n]...)
+		rest := copy(s.queue, s.queue[n:])
+		clear(s.queue[rest:])
+		s.queue = s.queue[:rest]
+		s.queueMu.Unlock()
+
+		events = events[:0]
+		for _, w := range batch {
+			events = append(events, w.event)
+		}
+		start := time.Now()
+		results := s.applyBatch(events)
+		s.commitTime.Observe(time.Since(start).Seconds())
+		s.batchSize.Observe(float64(n))
+		s.batches.Inc()
+		for i, w := range batch {
+			w.done <- results[i]
+		}
 	}
-	v, err := s.committer.Submit(ctx, op)
-	if err != nil {
-		return Participant{}, err
-	}
-	return v.(Participant), nil
 }
 
-// opEvent is the journal event an ingest op asks for. A join's name is
-// recorded trimmed of surrounding space.
-func opEvent(op ingest.Op) journal.Event {
-	if op.Kind == ingest.OpJoin {
-		return journal.Event{Kind: journal.KindJoin, Name: strings.TrimSpace(op.Name), Sponsor: op.Sponsor}
-	}
-	return journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount}
-}
-
-// ApplyBatch implements ingest.Applier: the whole batch commits under
-// one write-lock acquisition, with a single journal write and one
-// re-fold of the reward aggregates; every success's post-commit view is
-// then read from them. Per-op validation errors are reported
-// individually and never fail the rest of the batch.
-func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
-	events := make([]journal.Event, len(ops))
-	for i, op := range ops {
-		events[i] = opEvent(op)
-	}
-	results := make([]ingest.Result, len(ops))
+// applyBatch commits events as one batch under one write-lock
+// acquisition, with a single journal append and one re-fold of the
+// reward aggregates, and returns each event's result. An event's own
+// error never fails the rest of the batch; a failed append fails all
+// of them.
+func (s *Server) applyBatch(events []journal.Event) []writeResult {
+	results := make([]writeResult, len(events))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, err := range s.commitLocked(events) {
+	for i, err := range s.commitLocked(slices.Clone(events)) {
 		if err != nil {
-			results[i].Err = err
+			results[i].err = err
 			continue
 		}
-		results[i].Value = s.viewLocked(s.state.ByName[opEvent(ops[i]).Name])
+		results[i].p = s.viewLocked(s.state.ByName[events[i].Name])
 	}
 	return results
 }

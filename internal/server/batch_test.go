@@ -17,7 +17,6 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 )
@@ -35,14 +34,13 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return f.w.Write(p)
 }
 
-func newBatchedServer(t *testing.T, o ingest.Options) (*Server, *httptest.Server) {
+func newBatchedServer(t *testing.T, batchMax, queueDepth int) (*Server, *httptest.Server) {
 	t.Helper()
 	m, err := geometric.Default(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(m, WithBatching(o))
-	t.Cleanup(s.CloseIngest)
+	s := New(m, WithGroupCommit(batchMax, queueDepth))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -121,13 +119,13 @@ func TestRollbackOnJournalFailure(t *testing.T) {
 
 			// A mixed batch fails atomically: the join and the contribute
 			// both report the append error and both roll back.
-			results := s.ApplyBatch([]ingest.Op{
-				{Kind: ingest.OpJoin, Name: "carol", Sponsor: "alice"},
-				{Kind: ingest.OpContribute, Name: "alice", Amount: 3},
+			results := s.applyBatch([]journal.Event{
+				{Kind: journal.KindJoin, Name: "carol", Sponsor: "alice"},
+				{Kind: journal.KindContribute, Name: "alice", Amount: 3},
 			})
 			for i, r := range results {
-				if r.Err == nil || !strings.Contains(r.Err.Error(), "journal append") {
-					t.Fatalf("batch result %d = %v, want journal append error", i, r.Err)
+				if r.err == nil || !strings.Contains(r.err.Error(), "journal append") {
+					t.Fatalf("batch result %d = %v, want journal append error", i, r.err)
 				}
 			}
 			if _, err := s.participant("carol"); err == nil {
@@ -168,7 +166,7 @@ func TestRollbackOnJournalFailure(t *testing.T) {
 }
 
 // TestBatchMaxOneByteIdentity: the same operation sequence driven
-// through the ingest pipeline at -batch-max=1 must produce a journal
+// through the write queue at -batch-max=1 must produce a journal
 // byte-identical to the direct (unbatched) write path.
 func TestBatchMaxOneByteIdentity(t *testing.T) {
 	type op struct {
@@ -197,10 +195,9 @@ func TestBatchMaxOneByteIdentity(t *testing.T) {
 		var buf bytes.Buffer
 		opts := []Option{WithJournal(journal.NewWriter(&buf, 1))}
 		if batched {
-			opts = append(opts, WithBatching(ingest.Options{BatchMax: 1}))
+			opts = append(opts, WithGroupCommit(1, 0))
 		}
 		s := New(m, opts...)
-		defer s.CloseIngest()
 		ctx := context.Background()
 		for _, o := range script {
 			var err error
@@ -226,11 +223,11 @@ func TestBatchMaxOneByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchedWritesOverHTTP drives the full pipeline end to end:
-// concurrent HTTP writes through the committer, then reads from the
+// TestBatchedWritesOverHTTP drives group commit end to end:
+// concurrent HTTP writes through the write queue, then reads from the
 // versioned cache.
 func TestBatchedWritesOverHTTP(t *testing.T) {
-	s, ts := newBatchedServer(t, ingest.Options{BatchMax: 16})
+	s, ts := newBatchedServer(t, 16, 0)
 	if err := s.Join("seed", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +306,7 @@ func TestLeaderboardEndpoint(t *testing.T) {
 
 // TestWriteOpErrorMapping checks the write path's error-to-HTTP
 // contract: admission-control sheds are 429 with a Retry-After hint
-// and a JSON body; shutdown, abandonment and journal failures are 503;
+// and a JSON body; abandonment and journal failures are 503;
 // everything else is the op's own 400.
 func TestWriteOpErrorMapping(t *testing.T) {
 	cases := []struct {
@@ -317,8 +314,7 @@ func TestWriteOpErrorMapping(t *testing.T) {
 		status     int
 		retryAfter string
 	}{
-		{ingest.ErrQueueFull, http.StatusTooManyRequests, "1"},
-		{ingest.ErrClosed, http.StatusServiceUnavailable, ""},
+		{ErrQueueFull, http.StatusTooManyRequests, "1"},
 		{context.Canceled, http.StatusServiceUnavailable, ""},
 		{context.DeadlineExceeded, http.StatusServiceUnavailable, ""},
 		{fmt.Errorf("%w: %w", errJournalAppend, errors.New("sync: input/output error")), http.StatusServiceUnavailable, ""},
@@ -455,11 +451,11 @@ func TestRewardsCacheVersioning(t *testing.T) {
 	}
 }
 
-// TestShedUnderBackpressure deterministically wedges the committer
+// TestShedUnderBackpressure deterministically wedges the drainer
 // behind a held read lock, fills the depth-1 queue, and checks the
 // next HTTP write sheds with 429.
 func TestShedUnderBackpressure(t *testing.T) {
-	s, ts := newBatchedServer(t, ingest.Options{BatchMax: 1, QueueDepth: 1})
+	s, ts := newBatchedServer(t, 1, 1)
 	if err := s.Join("alice", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +494,7 @@ func TestShedUnderBackpressure(t *testing.T) {
 		case err := <-resc:
 			// Nothing can commit while the lock is held, so an early
 			// result can only be a shed from racing the first dequeue.
-			if !errors.Is(err, ingest.ErrQueueFull) {
+			if !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("unexpected early result: %v", err)
 			}
 			pending--
@@ -507,7 +503,7 @@ func TestShedUnderBackpressure(t *testing.T) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never wedged: queue=%d", s.IngestQueueLen())
+			t.Fatalf("queue never wedged: queue=%d", s.IngestQueueLen())
 		}
 		time.Sleep(time.Millisecond)
 	}

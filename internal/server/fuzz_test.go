@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"incentivetree/internal/experiments"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
 )
@@ -100,13 +99,13 @@ func FuzzServedRewardsMatchEvaluation(f *testing.F) {
 		s := New(mech, WithJournal(journal.NewWriter(fw, 1)))
 		var (
 			members []string
-			batch   []ingest.Op
+			batch   []journal.Event
 			snap    *Snapshot
 			joins   int
 		)
 		commit := func() {
 			for i, r := range applyChecked(t, s, batch...) {
-				if r.Err == nil && batch[i].Kind == ingest.OpJoin {
+				if r.err == nil && batch[i].Kind == journal.KindJoin {
 					members = append(members, batch[i].Name)
 				}
 			}
@@ -118,7 +117,7 @@ func FuzzServedRewardsMatchEvaluation(f *testing.F) {
 			k, x := ops[i], int(ops[i+1])
 			switch k % 8 {
 			case 0, 1:
-				op := ingest.Op{Kind: ingest.OpJoin, Name: fmt.Sprintf("p%d", joins)}
+				op := journal.Event{Kind: journal.KindJoin, Name: fmt.Sprintf("p%d", joins)}
 				joins++
 				if n := x % (len(members) + 1); n < len(members) {
 					op.Sponsor = members[n]
@@ -126,7 +125,7 @@ func FuzzServedRewardsMatchEvaluation(f *testing.F) {
 				batch = append(batch, op)
 			case 2, 3:
 				if len(members) > 0 {
-					batch = append(batch, ingest.Op{Kind: ingest.OpContribute, Name: members[x%len(members)], Amount: float64(k) / 8})
+					batch = append(batch, journal.Event{Kind: journal.KindContribute, Name: members[x%len(members)], Amount: float64(k) / 8})
 				}
 			case 4, 5:
 				if len(members) > 0 {

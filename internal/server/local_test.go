@@ -14,7 +14,6 @@ import (
 	"incentivetree/internal/cdrm"
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/numeric"
 	"incentivetree/internal/tree"
@@ -134,15 +133,15 @@ func body(t testing.TB, s *Server, path string) []byte {
 	return rec.Body.Bytes()
 }
 
-// applyChecked applies ops as one batch and checks every commit view
+// applyChecked applies events as one batch and checks every commit view
 // against the masked full evaluation of the committed state.
-func applyChecked(t testing.TB, s *Server, ops ...ingest.Op) []ingest.Result {
+func applyChecked(t testing.TB, s *Server, events ...journal.Event) []writeResult {
 	t.Helper()
-	results := s.ApplyBatch(ops)
+	results := s.applyBatch(events)
 	want := servedOracle(t, s)
 	for _, r := range results {
-		if r.Err == nil {
-			checkServed(t, "commit view", r.Value.(Participant), want)
+		if r.err == nil {
+			checkServed(t, "commit view", r.p, want)
 		}
 	}
 	return results
@@ -159,18 +158,18 @@ func randomWorkload(t testing.TB, s *Server, seed int64, ops int) {
 		names = append(names, tr.Label(u))
 	}
 	for i := 0; i < ops; i++ {
-		var op ingest.Op
+		var op journal.Event
 		if len(names) == 0 || rng.Float64() < 0.6 {
-			op = ingest.Op{Kind: ingest.OpJoin, Name: fmt.Sprintf("w%d-%d", seed, i)}
+			op = journal.Event{Kind: journal.KindJoin, Name: fmt.Sprintf("w%d-%d", seed, i)}
 			if len(names) > 0 && rng.Intn(8) != 0 {
 				op.Sponsor = names[rng.Intn(len(names))]
 			}
 			names = append(names, op.Name)
 		} else {
-			op = ingest.Op{Kind: ingest.OpContribute, Name: names[rng.Intn(len(names))], Amount: rng.Float64() * 4}
+			op = journal.Event{Kind: journal.KindContribute, Name: names[rng.Intn(len(names))], Amount: rng.Float64() * 4}
 		}
-		if r := applyChecked(t, s, op); r[0].Err != nil {
-			t.Fatalf("op %d: %v", i, r[0].Err)
+		if r := applyChecked(t, s, op); r[0].err != nil {
+			t.Fatalf("op %d: %v", i, r[0].err)
 		}
 	}
 }
@@ -272,14 +271,14 @@ func TestEngineErrorPaths(t *testing.T) {
 
 func TestFailedWriteLeavesStateConsistent(t *testing.T) {
 	s := New(suiteMechanism(t, "geometric"))
-	applyChecked(t, s, ingest.Op{Kind: ingest.OpJoin, Name: "u"}, ingest.Op{Kind: ingest.OpContribute, Name: "u", Amount: 1})
+	applyChecked(t, s, journal.Event{Kind: journal.KindJoin, Name: "u"}, journal.Event{Kind: journal.KindContribute, Name: "u", Amount: 1})
 	// A batch whose ops all fail validation commits nothing and must not
 	// disturb the aggregates.
 	results := applyChecked(t, s,
-		ingest.Op{Kind: ingest.OpContribute, Name: "u", Amount: -5},
-		ingest.Op{Kind: ingest.OpJoin, Name: "u"})
+		journal.Event{Kind: journal.KindContribute, Name: "u", Amount: -5},
+		journal.Event{Kind: journal.KindJoin, Name: "u"})
 	for i, r := range results {
-		if r.Err == nil {
+		if r.err == nil {
 			t.Fatalf("op %d should fail", i)
 		}
 	}
@@ -361,7 +360,7 @@ func TestForTreeEmptyTree(t *testing.T) {
 	if len(r) != 1 || r[0] != 0 {
 		t.Fatalf("empty tree rewards = %v", r)
 	}
-	applyChecked(t, s, ingest.Op{Kind: ingest.OpJoin, Name: "ada"}, ingest.Op{Kind: ingest.OpContribute, Name: "ada", Amount: 1})
+	applyChecked(t, s, journal.Event{Kind: journal.KindJoin, Name: "ada"}, journal.Event{Kind: journal.KindContribute, Name: "ada", Amount: 1})
 	assertServedMatches(t, s)
 }
 
@@ -487,17 +486,17 @@ func TestTDRMHugeContributionRecovers(t *testing.T) {
 	var log bytes.Buffer
 	s := New(suiteMechanism(t, "tdrm"), WithJournal(journal.NewWriter(&log, 1)))
 	applyChecked(t, s,
-		ingest.Op{Kind: ingest.OpJoin, Name: "ada"},
-		ingest.Op{Kind: ingest.OpJoin, Name: "bo", Sponsor: "ada"},
-		ingest.Op{Kind: ingest.OpJoin, Name: "cy", Sponsor: "bo"},
-		ingest.Op{Kind: ingest.OpContribute, Name: "ada", Amount: 1})
-	for _, op := range []ingest.Op{
-		{Kind: ingest.OpContribute, Name: "bo", Amount: 1e19},
-		{Kind: ingest.OpContribute, Name: "cy", Amount: 1e300},
+		journal.Event{Kind: journal.KindJoin, Name: "ada"},
+		journal.Event{Kind: journal.KindJoin, Name: "bo", Sponsor: "ada"},
+		journal.Event{Kind: journal.KindJoin, Name: "cy", Sponsor: "bo"},
+		journal.Event{Kind: journal.KindContribute, Name: "ada", Amount: 1})
+	for _, op := range []journal.Event{
+		{Kind: journal.KindContribute, Name: "bo", Amount: 1e19},
+		{Kind: journal.KindContribute, Name: "cy", Amount: 1e300},
 	} {
 		for _, r := range applyChecked(t, s, op) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
 		}
 	}

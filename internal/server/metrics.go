@@ -19,7 +19,10 @@ import (
 //	itree_budget_utilization   R(T) / (Phi * C(T)), the spent fraction
 //	                           of the paper's budget constraint
 //	itree_journal_last_seq     last persisted journal sequence number
+//	itree_ingest_queue_depth   writes waiting for a group commit
 //
+// The group commit's counters and histograms register beside them:
+// itree_ingest_{shed_total,batches_total,batch_size,commit_seconds}.
 // Gauges are computed at scrape time under the server's read lock; the
 // reward gauges cost one O(n) pass over the reward aggregates per
 // scrape.
@@ -52,7 +55,15 @@ var domainGauges = []string{
 	"itree_settle_capped_total",
 	"itree_claims_commits_total",
 	"itree_claims_conflicts_total",
+	"itree_ingest_queue_depth",
+	"itree_ingest_shed_total",
+	"itree_ingest_batches_total",
+	"itree_ingest_batch_size",
+	"itree_ingest_commit_seconds",
 }
+
+// batchSizeBuckets are the itree_ingest_batch_size histogram's bounds.
+var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // UnregisterMetrics removes the domain-gauge series registered under
 // the given label set — the inverse of WithMetricsLabels, used when a
@@ -128,6 +139,18 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.viewMisses = reg.Counter("itree_rewards_cache_misses_total",
 		"Reward-table cache rebuilds (one pass over the reward aggregates and a re-sort of the previous version's ranking each).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
+	reg.GaugeFunc("itree_ingest_queue_depth",
+		"Writes waiting for a group commit.", func() float64 {
+			return float64(s.IngestQueueLen())
+		}, labels...)
+	s.shed = reg.Counter("itree_ingest_shed_total",
+		"Writes shed by admission control (queue full).", labels...)
+	s.batches = reg.Counter("itree_ingest_batches_total",
+		"Group commits executed.", labels...)
+	s.batchSize = reg.Histogram("itree_ingest_batch_size",
+		"Operations per group commit.", batchSizeBuckets, labels...)
+	s.commitTime = reg.Histogram("itree_ingest_commit_seconds",
+		"Group commit latency (apply, journal append and re-fold).", nil, labels...)
 }
 
 // rewardTotals returns R(T) and the budget utilization R(T)/(Phi*C(T))

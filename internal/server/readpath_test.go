@@ -13,7 +13,6 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/treegen"
@@ -226,19 +225,19 @@ func TestReadViewsUnderWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ops := make([]ingest.Op, 8)
+		ops := make([]journal.Event, 8)
 		for i := range ops {
 			if rng.Intn(4) == 0 {
 				name := fmt.Sprintf("late-%d-%d", batch, i)
-				ops[i] = ingest.Op{Kind: ingest.OpJoin, Name: name, Sponsor: names[rng.Intn(len(names))]}
+				ops[i] = journal.Event{Kind: journal.KindJoin, Name: name, Sponsor: names[rng.Intn(len(names))]}
 				names = append(names, name)
 			} else {
-				ops[i] = ingest.Op{Kind: ingest.OpContribute, Name: names[rng.Intn(len(names))], Amount: 0.5 + 4*rng.Float64()}
+				ops[i] = journal.Event{Kind: journal.KindContribute, Name: names[rng.Intn(len(names))], Amount: 0.5 + 4*rng.Float64()}
 			}
 		}
-		for _, r := range s.ApplyBatch(ops) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
+		for _, r := range s.applyBatch(ops) {
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
 		}
 	}

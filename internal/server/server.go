@@ -28,9 +28,11 @@
 // the mechanism's local form (core.Local): a committed write re-folds
 // only the root paths it touched, a participant read costs O(depth),
 // and the full table is one O(n) pass. Every served reward equals the
-// mechanism's Rewards bit for bit. With WithBatching, writes flow
-// through a group-commit ingest pipeline (one lock acquisition,
-// journal sync, and re-fold per batch; full queues shed with 429).
+// mechanism's Rewards bit for bit. HTTP joins and contributions are
+// group-committed (see batch.go): they wait in a bounded queue that a
+// drain goroutine, started by the first write into an idle queue,
+// commits in arrival order with one lock acquisition, journal append
+// and re-fold per batch; a full queue sheds with 429.
 // The first table read of each committed version ranks the
 // participants once, by reward then name, re-sorting the previous
 // version's ranking: its cost tracks how many ids changed reward
@@ -51,7 +53,6 @@ import (
 
 	"incentivetree/internal/audit"
 	"incentivetree/internal/core"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/tree"
@@ -59,13 +60,21 @@ import (
 
 // Server is the shared state behind the HTTP handler.
 type Server struct {
-	mech      core.Mechanism
-	local     core.Local // mech.Local(), never nil
-	journal   *journal.Writer
-	metrics   *obs.Registry // nil = uninstrumented
-	labels    []string      // metric labels from WithMetricsLabels
-	batching  *ingest.Options
-	committer *ingest.Committer // non-nil iff WithBatching
+	mech    core.Mechanism
+	local   core.Local // mech.Local(), never nil
+	journal *journal.Writer
+	metrics *obs.Registry // nil = uninstrumented
+	labels  []string      // metric labels from WithMetricsLabels
+
+	// The write queue (see batch.go). queueMu guards queue and draining
+	// and is never held while taking mu; draining is set while a drain
+	// goroutine runs.
+	queueMu               sync.Mutex
+	queue                 []*queuedWrite
+	draining              bool
+	batchMax, queueDepth  int
+	shed, batches         *obs.Counter
+	batchSize, commitTime *obs.Histogram
 
 	// view is the read view of one committed version (see readpath.go);
 	// viewMu serializes its builds and nests inside mu.
@@ -109,19 +118,12 @@ func New(m core.Mechanism, opts ...Option) *Server {
 		panic(fmt.Sprintf("server: mechanism %s has no local form", m.Name()))
 	}
 	s := &Server{mech: m, local: local, state: journal.NewState(), agg: []float64{0},
-		viewHits: new(obs.Counter), viewMisses: new(obs.Counter)}
+		viewHits: new(obs.Counter), viewMisses: new(obs.Counter),
+		batchMax: DefaultBatchMax, queueDepth: DefaultQueueDepth,
+		shed: new(obs.Counter), batches: new(obs.Counter),
+		batchSize: obs.NewHistogram(batchSizeBuckets), commitTime: obs.NewHistogram(nil)}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.batching != nil {
-		// Deferred past option application so the pipeline inherits the
-		// final registry/labels regardless of option order.
-		o := *s.batching
-		if o.Registry == nil {
-			o.Registry = s.metrics
-			o.Labels = s.labels
-		}
-		s.committer = ingest.New(s, o)
 	}
 	return s
 }
@@ -223,15 +225,15 @@ func (s *Server) handleContribute(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeOpError maps a write-path failure to its HTTP shape: a full
-// ingest queue is admission control (429 with a Retry-After hint), a
-// closed pipeline, abandoned request or failed journal append is a
-// 503, and anything else is the op's own validation error (400).
+// write queue is admission control (429 with a Retry-After hint), an
+// abandoned request or failed journal append is a 503, and anything
+// else is the op's own validation error (400).
 func writeOpError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ingest.ErrQueueFull):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
-	case errors.Is(err, ingest.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, errJournalAppend):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:

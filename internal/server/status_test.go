@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 )
 
@@ -128,19 +127,19 @@ func TestOversizedRecordRefused(t *testing.T) {
 	var log bytes.Buffer
 	s := New(suiteMechanism(t, "geometric"), WithJournal(journal.NewWriter(&log, 1)))
 	huge := strings.Repeat("x", 1<<26)
-	res := s.ApplyBatch([]ingest.Op{
-		{Kind: ingest.OpJoin, Name: "ada"},
-		{Kind: ingest.OpJoin, Name: huge},
-		{Kind: ingest.OpJoin, Name: "bo", Sponsor: "ada"},
+	res := s.applyBatch([]journal.Event{
+		{Kind: journal.KindJoin, Name: "ada"},
+		{Kind: journal.KindJoin, Name: huge},
+		{Kind: journal.KindJoin, Name: "bo", Sponsor: "ada"},
 	})
-	if res[0].Err != nil || res[2].Err != nil {
-		t.Fatalf("batch-mates refused: %v, %v", res[0].Err, res[2].Err)
+	if res[0].err != nil || res[2].err != nil {
+		t.Fatalf("batch-mates refused: %v, %v", res[0].err, res[2].err)
 	}
-	if res[1].Err == nil {
+	if res[1].err == nil {
 		t.Fatal("a join whose record exceeds the frame bound was acknowledged")
 	}
 	rec := httptest.NewRecorder()
-	writeOpError(rec, res[1].Err)
+	writeOpError(rec, res[1].err)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized join answers %d, want 400", rec.Code)
 	}

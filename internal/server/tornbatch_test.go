@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 )
 
@@ -46,27 +45,27 @@ func TestAppendBatchTornWriteReplayIdentity(t *testing.T) {
 			var buf bytes.Buffer
 			tw := &tornWriter{w: &buf}
 			s := New(suiteMechanism(t, arm.mechanism), WithJournal(journal.NewWriter(tw, 1)))
-			for _, op := range []ingest.Op{
-				{Kind: ingest.OpJoin, Name: "ada"},
-				{Kind: ingest.OpJoin, Name: "bob", Sponsor: "ada"},
-				{Kind: ingest.OpContribute, Name: "ada", Amount: 1.5},
-				{Kind: ingest.OpContribute, Name: "bob", Amount: 0.25},
+			for _, op := range []journal.Event{
+				{Kind: journal.KindJoin, Name: "ada"},
+				{Kind: journal.KindJoin, Name: "bob", Sponsor: "ada"},
+				{Kind: journal.KindContribute, Name: "ada", Amount: 1.5},
+				{Kind: journal.KindContribute, Name: "bob", Amount: 0.25},
 			} {
-				for _, r := range s.ApplyBatch([]ingest.Op{op}) {
-					if r.Err != nil {
-						t.Fatal(r.Err)
+				for _, r := range s.applyBatch([]journal.Event{op}) {
+					if r.err != nil {
+						t.Fatal(r.err)
 					}
 				}
 			}
 
 			tw.torn = true
-			results := s.ApplyBatch([]ingest.Op{
-				{Kind: ingest.OpJoin, Name: "carol", Sponsor: "bob"},
-				{Kind: ingest.OpContribute, Name: "ada", Amount: 7},
+			results := s.applyBatch([]journal.Event{
+				{Kind: journal.KindJoin, Name: "carol", Sponsor: "bob"},
+				{Kind: journal.KindContribute, Name: "ada", Amount: 7},
 			})
 			for i, r := range results {
-				if r.Err == nil || !strings.Contains(r.Err.Error(), "journal append") {
-					t.Fatalf("batch result %d = %v, want journal append error", i, r.Err)
+				if r.err == nil || !strings.Contains(r.err.Error(), "journal append") {
+					t.Fatalf("batch result %d = %v, want journal append error", i, r.err)
 				}
 			}
 			if _, err := s.participant("carol"); err == nil {

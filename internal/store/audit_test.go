@@ -219,7 +219,6 @@ func TestQuarantineSurvivesStoreRecovery(t *testing.T) {
 	do(t, h2, "POST", "/v1/campaigns/c1/audit/quarantine", `{"name":"carol"}`, nil)
 	mid := readRewards(st2)
 	c, _ := st2.Get("c1")
-	c.srv.CloseIngest()
 	if c.fw != nil {
 		c.fw.Close() // simulate a crash: journal written, no checkpoint
 	}

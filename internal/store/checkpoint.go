@@ -284,12 +284,12 @@ func (st *Store) recoverCampaign(id string) error {
 	c.fw = fw
 	c.srv = server.New(mech, st.serverOptions(c, lastSeq+1)...)
 	if err := server.Recover(c.srv, snap, events); err != nil {
-		fw.Close()
+		st.release(c)
 		return fmt.Errorf("store: recover %s: %w", id, err)
 	}
 	c.handler = c.srv.Handler()
 	if !st.put(c) {
-		fw.Close()
+		st.release(c)
 		return fmt.Errorf("store: duplicate campaign %q on disk", id)
 	}
 	st.attachAudit(c)

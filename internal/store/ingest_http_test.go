@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"incentivetree/internal/ingest"
+	"incentivetree/internal/server"
 )
 
 // TestLeaderboardRouting: the per-campaign splice and the legacy alias
@@ -75,7 +75,7 @@ func TestLeaderboardRouting(t *testing.T) {
 	}
 }
 
-// TestShedOverStoreHandler wedges the default campaign's committer
+// TestShedOverStoreHandler wedges the default campaign's drainer
 // behind a held snapshot read lock, fills its depth-1 queue, and checks
 // the store handler relays the shed as 429 with Retry-After and a JSON
 // error body.
@@ -127,7 +127,7 @@ func TestShedOverStoreHandler(t *testing.T) {
 		}
 		select {
 		case err := <-resc:
-			if !errors.Is(err, ingest.ErrQueueFull) {
+			if !errors.Is(err, server.ErrQueueFull) {
 				t.Fatalf("unexpected early result: %v", err)
 			}
 			pending--
@@ -136,7 +136,7 @@ func TestShedOverStoreHandler(t *testing.T) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never wedged: queue=%d", srv.IngestQueueLen())
+			t.Fatalf("queue never wedged: queue=%d", srv.IngestQueueLen())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -164,25 +164,8 @@ func TestShedOverStoreHandler(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabled: a negative BatchMax turns the pipeline off;
-// writes go straight through and the queue always reads empty.
-func TestBatchingDisabled(t *testing.T) {
-	cfg := testConfig(t.TempDir())
-	cfg.BatchMax = -1
-	st := openStore(t, cfg)
-	h := st.Handler()
-
-	if code := do(t, h, "POST", "/v1/join", `{"name":"solo"}`, nil); code != http.StatusCreated {
-		t.Fatalf("join: %d", code)
-	}
-	c, _ := st.Get(DefaultID)
-	if n := c.Server().IngestQueueLen(); n != 0 {
-		t.Fatalf("queue len without batching = %d", n)
-	}
-}
-
 // TestBatchedWritesAcrossCampaigns: each campaign gets its own
-// committer; concurrent writes land in the right journals and survive
+// write queue; concurrent writes land in the right journals and survive
 // a store reopen.
 func TestBatchedWritesAcrossCampaigns(t *testing.T) {
 	dir := t.TempDir()

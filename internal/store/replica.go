@@ -61,10 +61,10 @@ func (st *Store) handleReplicaJournal(w http.ResponseWriter, r *http.Request) {
 // same mechanism configuration its deployment is restored in place
 // (metric series and handler identity survive a re-bootstrap);
 // otherwise a fresh deployment replaces it. Adopted campaigns run
-// without journal or ingest pipeline: writes never reach a follower
-// (the replica middleware redirects them). The follower's reward
-// aggregates fold the same tree the same way, so its reward bytes are
-// identical to the primary's.
+// without a journal, and their write queues stay empty: writes never
+// reach a follower (the replica middleware redirects them). The
+// follower's reward aggregates fold the same tree the same way, so its
+// reward bytes are identical to the primary's.
 func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier, error) {
 	if !st.cfg.Follower {
 		return nil, errors.New("store: Adopt requires a follower-mode store")
@@ -126,9 +126,6 @@ func (st *Store) Drop(id string) error {
 	if !ok {
 		return nil
 	}
-	c.srv.CloseIngest()
-	if st.cfg.Metrics != nil {
-		server.UnregisterMetrics(st.cfg.Metrics, "campaign", id)
-	}
+	st.release(c)
 	return nil
 }

@@ -42,7 +42,6 @@ import (
 
 	"incentivetree/internal/audit"
 	"incentivetree/internal/core"
-	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/replica"
@@ -84,18 +83,14 @@ type Config struct {
 	Sync journal.SyncPolicy
 	// SyncInterval is the flush period under journal.SyncInterval.
 	SyncInterval time.Duration
-	// BatchMax caps operations per group commit in each campaign's
-	// ingest pipeline (see internal/ingest). Zero means
-	// ingest.DefaultBatchMax; 1 commits per event in arrival order
-	// (byte-identical journals to the unbatched path); negative
-	// disables the pipeline entirely and writes apply inline.
+	// BatchMax caps the writes per group commit in each campaign's
+	// write queue (see server.WithGroupCommit). Zero or negative means
+	// server.DefaultBatchMax; 1 commits per event in arrival order
+	// (journals byte-identical to direct writes).
 	BatchMax int
-	// BatchWait is how long a committer waits to fill a batch after its
-	// first operation (0 = commit as soon as the queue stops yielding).
-	BatchWait time.Duration
-	// QueueDepth bounds each campaign's ingest queue (admission
-	// control); a full queue sheds writes with 429. Zero means
-	// ingest.DefaultQueueDepth.
+	// QueueDepth bounds each campaign's write queue (admission
+	// control); a full queue sheds writes with 429. Zero or negative
+	// means server.DefaultQueueDepth.
 	QueueDepth int
 	// AuditInterval enables the online Sybil audit service: every
 	// campaign gets a background auditor (see internal/audit) whose
@@ -245,8 +240,9 @@ type Store struct {
 // every campaign found on disk (snapshot + journal suffix, tolerating
 // torn tails). The "default" campaign is created if it does not exist
 // yet. Call Run to start the background checkpointer and Close to
-// flush and release journals.
-func Open(cfg Config) (*Store, error) {
+// flush and release journals. A failed Open releases every campaign it
+// installed.
+func Open(cfg Config) (_ *Store, err error) {
 	if cfg.NewMechanism == nil {
 		return nil, errors.New("store: Config.NewMechanism is required")
 	}
@@ -281,6 +277,13 @@ func Open(cfg Config) (*Store, error) {
 	for i := range st.shards {
 		st.shards[i].m = make(map[string]*Campaign)
 	}
+	defer func() {
+		if err != nil {
+			for _, c := range st.List() {
+				st.release(c)
+			}
+		}
+	}()
 	if reg := cfg.Metrics; reg != nil {
 		reg.GaugeFunc("itree_campaigns",
 			"Number of campaigns hosted by the store.", func() float64 {
@@ -411,15 +414,7 @@ func (st *Store) Create(meta Meta) (*Campaign, error) {
 	c.srv = server.New(mech, st.serverOptions(c, 1)...)
 	c.handler = c.srv.Handler()
 	if !st.put(c) {
-		// Lost a create race: release what we provisioned. The ingest
-		// pipeline stops first so nothing appends past the journal close.
-		c.srv.CloseIngest()
-		if c.fw != nil {
-			c.fw.Close()
-		}
-		if st.cfg.Metrics != nil {
-			server.UnregisterMetrics(st.cfg.Metrics, "campaign", meta.ID)
-		}
+		st.release(c) // lost a create race
 		return nil, fmt.Errorf("store: campaign %q already exists", meta.ID)
 	}
 	st.attachAudit(c)
@@ -442,7 +437,7 @@ func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
 
 // serverOptions assembles the per-campaign server options: journal
 // writer (starting at nextSeq), labelled metrics, epoch budget and
-// ingest batching.
+// the write queue's bounds.
 func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	var opts []server.Option
 	if c.fw != nil {
@@ -454,14 +449,22 @@ func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	if st.cfg.EpochBudget != 0 {
 		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))
 	}
-	if st.cfg.BatchMax >= 0 {
-		opts = append(opts, server.WithBatching(ingest.Options{
-			BatchMax:   st.cfg.BatchMax,
-			BatchWait:  st.cfg.BatchWait,
-			QueueDepth: st.cfg.QueueDepth,
-		}))
+	return append(opts, server.WithGroupCommit(st.cfg.BatchMax, st.cfg.QueueDepth))
+}
+
+// release closes what installing c opened: its auditor, its journal and
+// its metric series. It touches no files. A write still in c's queue
+// then fails on the closed journal.
+func (st *Store) release(c *Campaign) {
+	if c.auditor != nil {
+		c.auditor.Close()
 	}
-	return opts
+	if c.fw != nil {
+		c.fw.Close()
+	}
+	if st.cfg.Metrics != nil {
+		server.UnregisterMetrics(st.cfg.Metrics, "campaign", c.Meta.ID)
+	}
 }
 
 // Delete removes a campaign from the store, closes its journal, and
@@ -479,21 +482,10 @@ func (st *Store) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("store: unknown campaign %q", id)
 	}
-	// Drain the ingest pipeline (new submits already fail: the campaign
-	// is out of the map, and post-drain ones get ErrClosed), then
-	// exclude a concurrent checkpoint before tearing down files.
-	c.srv.CloseIngest()
-	if c.auditor != nil {
-		c.auditor.Close()
-	}
+	// Exclude a concurrent checkpoint before tearing down files.
 	c.cpMu.Lock()
 	defer c.cpMu.Unlock()
-	if c.fw != nil {
-		c.fw.Close()
-	}
-	if st.cfg.Metrics != nil {
-		server.UnregisterMetrics(st.cfg.Metrics, "campaign", id)
-	}
+	st.release(c)
 	if c.dir != "" {
 		if err := os.RemoveAll(c.dir); err != nil {
 			return fmt.Errorf("store: delete %q: %w", id, err)
@@ -503,7 +495,11 @@ func (st *Store) Delete(id string) error {
 }
 
 // Close checkpoints every campaign with pending events and closes all
-// journals. The store must not serve requests afterwards.
+// journals. The store must not serve requests afterwards. Close does
+// not wait for queued writes: stop serving first (itreed shuts its HTTP
+// server down before closing the store), so every acknowledged write
+// has committed. A write still queued may commit, or fail on the
+// closed journal.
 func (st *Store) Close() error {
 	st.closeMu.Lock()
 	if st.closed {
@@ -514,9 +510,6 @@ func (st *Store) Close() error {
 	st.closeMu.Unlock()
 	var first error
 	for _, c := range st.List() {
-		// Drain queued writes into the journal before the final
-		// checkpoint so shutdown loses nothing that was admitted.
-		c.srv.CloseIngest()
 		if c.auditor != nil {
 			c.auditor.Close()
 		}

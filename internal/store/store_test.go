@@ -213,6 +213,7 @@ func TestPerCampaignMetrics(t *testing.T) {
 		"itree_campaigns 2",
 		`itree_participants{campaign="acme"} 1`,
 		`itree_contribution_total{campaign="acme"} 2`,
+		`itree_ingest_batches_total{campaign="acme"} 2`,
 		`itree_participants{campaign="default"} 0`,
 	} {
 		if !strings.Contains(out, want) {
@@ -231,6 +232,56 @@ func TestPerCampaignMetrics(t *testing.T) {
 	}
 	if !strings.Contains(out, "itree_campaigns 1") {
 		t.Errorf("campaign gauge not decremented")
+	}
+}
+
+// TestFailedOpenReleasesCampaigns: when one campaign fails recovery,
+// Open releases the ones it had already recovered: none of their
+// series stays on the registry and none of their journals stays open.
+func TestFailedOpenReleasesCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir)
+	st := openStore(t, cfg)
+	if _, err := st.Create(Meta{ID: "a", Mechanism: "geometric"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Campaign b sorts after a and names a mechanism nobody knows.
+	bdir := filepath.Join(dir, "campaigns", "b")
+	if err := os.MkdirAll(bdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bdir, "meta.json"), []byte(`{"id":"b","mechanism":"no-such-mechanism"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Metrics = obs.NewRegistry()
+	if st, err := Open(cfg); err == nil {
+		st.Close()
+		t.Fatal("Open recovered a campaign with an unknown mechanism")
+	}
+	var sb strings.Builder
+	if err := cfg.Metrics.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), `campaign="a"`); n > 0 {
+		t.Errorf("failed Open left %d campaign=\"a\" series:\n%s", n, sb.String())
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to list open files: %v", err)
+	}
+	root, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, root) {
+			t.Errorf("failed Open left %s open", target)
+		}
 	}
 }
 

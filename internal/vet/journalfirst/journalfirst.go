@@ -1,5 +1,5 @@
 // Package journalfirst guards the durability contract of the write
-// path: in the serving packages (server, store, ingest, replica,
+// path: in the serving packages (server, store, replica,
 // audit), in-memory
 // guarded state and the journal must never diverge. A function that
 // mutates receiver-reachable state BEFORE calling journal.Append /
@@ -42,7 +42,7 @@ func New() *vet.Analyzer {
 
 // scopedPackages are the package names the invariant applies to (the
 // serving write path).
-var scopedPackages = map[string]bool{"server": true, "store": true, "ingest": true, "replica": true, "audit": true, "settle": true}
+var scopedPackages = map[string]bool{"server": true, "store": true, "replica": true, "audit": true, "settle": true}
 
 // mutatorName matches method names that (by this repo's conventions)
 // mutate state.
