@@ -92,9 +92,10 @@ replicasmoke:
 
 # auditsmoke boots a race-built itreed with the audit service on,
 # runs an adversarial itreeload mix (injected Sybil arrangements with
-# ground truth) plus an honest-only mix, and verifies at least one
-# matched finding, zero quarantined honest participants, and
-# byte-identical quarantine state across kill -9 + restart.
+# ground truth) plus an honest-only mix, and verifies that every
+# planted arrangement is matched, zero quarantined honest participants,
+# a skipped scan once the honest campaign is idle, and byte-identical
+# quarantine state across kill -9 + restart.
 auditsmoke:
 	GO=$(GO) RACE=1 sh scripts/auditsmoke.sh
 

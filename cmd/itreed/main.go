@@ -7,7 +7,7 @@
 //
 //	itreed [-addr :8080] [-mechanism tdrm] [-phi 0.5] [-fair 0.05]
 //	       [-seed alice,bob] [-debug-addr :6060]
-//	       [-data-dir /var/lib/itreed] [-shards 16]
+//	       [-data-dir /var/lib/itreed]
 //	       [-checkpoint-interval 30s] [-checkpoint-bytes 1048576]
 //	       [-journal-sync os|interval|always] [-journal-sync-interval 1s]
 //	       [-batch-max 64] [-queue-depth 1024]
@@ -27,14 +27,16 @@
 // refused at startup until `itree convert` migrates it (see README).
 //
 // With -audit-interval set, every campaign runs the online Sybil audit
-// service (see internal/audit): committed batches mark subtrees dirty,
-// periodic incremental scans score them against the canonical attack
-// shapes (ε-chains, deep single-child chains, star bursts) plus a
-// counterfactual reward probe, and GET /v1/campaigns/{id}/audit serves
-// the findings. Payout quarantine — POST .../audit/quarantine and
-// DELETE .../audit/quarantine/{name}, or automatic with
-// -audit-quarantine — is journaled and crash-recoverable: quarantined
-// subtrees serve zero rewards while raw contributions stay intact.
+// service (see internal/audit): each periodic scan reads the campaign's
+// latest committed version and scores every node against the canonical
+// attack shapes (ε-chains, deep single-child chains, star bursts) plus
+// a counterfactual reward probe; a campaign whose version has not moved
+// and that has no tracked suspect is skipped. GET
+// /v1/campaigns/{id}/audit serves the findings. Payout quarantine —
+// POST .../audit/quarantine and DELETE .../audit/quarantine/{name}, or
+// automatic with -audit-quarantine — is journaled and crash-recoverable:
+// quarantined subtrees serve zero rewards while raw contributions stay
+// intact.
 //
 // With -epoch-interval set, every campaign settles a payout epoch on
 // that cadence (see internal/settle): the budget pool accrues
@@ -184,7 +186,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 	seed := fs.String("seed", "", "comma-separated names of organic seed participants (default campaign)")
 	dataDir := fs.String("data-dir", "",
 		"data directory for multi-campaign persistence (journals, snapshots); enables checkpointing")
-	shards := fs.Int("shards", store.DefaultShards, "lock stripes for campaign lookup (rounded up to a power of two)")
 	cpInterval := fs.Duration("checkpoint-interval", store.DefaultCheckpointEvery,
 		"periodic checkpoint cadence; <0 disables periodic checkpoints")
 	cpBytes := fs.Int64("checkpoint-bytes", store.DefaultCheckpointBytes,
@@ -266,7 +267,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 
 	cfg := store.Config{
 		DataDir:            *dataDir,
-		Shards:             *shards,
 		CheckpointInterval: *cpInterval,
 		CheckpointBytes:    *cpBytes,
 		Sync:               policy,

@@ -1,10 +1,9 @@
 // Package audit implements the online Sybil auditor: a per-campaign
-// background service that watches committed write batches and
-// incrementally re-scores recently-mutated subtrees for the canonical
-// attack shapes of the paper's Theorem-4 appendix — ε-chains, deep
-// single-child chains, and star bursts — plus a bounded counterfactual
-// probe (internal/sybil) asking whether the subtree's reward could be
-// replicated by one honest node.
+// background service that reads committed versions of the tree and
+// scores every node for the canonical attack shapes of the paper's
+// Theorem-4 appendix — ε-chains, deep single-child chains, and star
+// bursts — plus a bounded counterfactual probe (internal/sybil) asking
+// whether the subtree's reward could be replicated by one honest node.
 //
 // Suspicion is tracked per subtree root with hysteresis: each scan that
 // re-detects a shape pulls the root's score toward the shape's severity
@@ -34,6 +33,9 @@ import (
 
 // Source is the audited deployment. *server.Server implements it.
 type Source interface {
+	// Version returns the commit version, which moves whenever what a
+	// read returns may have changed.
+	Version() uint64
 	// AuditSnapshot returns an owned clone of the current tree, the
 	// sorted quarantine list, and the commit version they correspond to.
 	AuditSnapshot() (*tree.Tree, []string, uint64)
@@ -133,10 +135,11 @@ type Report struct {
 
 // Stats summarizes one Scan call.
 type Stats struct {
-	// Skipped is true when nothing was dirty and no suspects needed
-	// re-examination, so no snapshot was taken.
+	// Skipped is true when the commit version had not moved since the
+	// last scan and no suspect was tracked, so no snapshot was taken.
 	Skipped bool
-	// Candidates is the number of subtree roots examined.
+	// Candidates is the number of nodes examined: the whole tree, root
+	// included, on a scan that was not skipped.
 	Candidates int
 	// Detected is the number of roots with a shape detection this scan.
 	Detected int
@@ -159,9 +162,9 @@ type suspect struct {
 	lastScan        uint64
 }
 
-// Auditor incrementally audits one deployment. All methods are safe
-// for concurrent use; concurrent Scan calls (the store's audit ticker
-// racing an operator's scan-now request) serialize on scanMu.
+// Auditor audits one deployment. All methods are safe for concurrent
+// use; concurrent Scan calls (the store's audit ticker racing an
+// operator's scan-now request) serialize on scanMu.
 type Auditor struct {
 	cfg Config
 	src Source
@@ -169,8 +172,6 @@ type Auditor struct {
 	// scanMu serializes whole Scan passes.
 	scanMu sync.Mutex
 	mu     sync.Mutex
-	dirty  map[string]struct{}
-	full   bool
 	scores map[string]*suspect
 	scans  uint64
 	// version is the commit version of the last scanned snapshot.
@@ -186,14 +187,12 @@ type Auditor struct {
 // shapes are the reportable shape names (stable metric label values).
 var shapes = []string{ShapeEpsilonChain, ShapeChain, ShapeStar}
 
-// New creates an auditor over src. The first Scan is always a full
-// pass, so commits from before the auditor attached are never missed.
+// New creates an auditor over src. Its first Scan is never skipped, so
+// commits from before the auditor attached are examined too.
 func New(cfg Config, src Source) *Auditor {
 	a := &Auditor{
 		cfg:    cfg,
 		src:    src,
-		dirty:  make(map[string]struct{}),
-		full:   true,
 		scores: make(map[string]*suspect),
 	}
 	if r := a.cfg.Registry; r != nil {
@@ -236,93 +235,30 @@ func (a *Auditor) Close() {
 	}
 }
 
-// NotifyCommit records a committed batch's touched participant names
-// for the next incremental scan. A nil touched list (state restore,
-// replicated catch-up) forces the next scan to be a full pass. It is
-// the server's commit observer: it runs under the server's write lock
-// and must stay cheap.
-func (a *Auditor) NotifyCommit(version uint64, touched []string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_ = version
-	if touched == nil {
-		a.full = true
-		return
-	}
-	for _, name := range touched {
-		a.dirty[name] = struct{}{}
-	}
-}
-
-// Scan runs one audit pass: it drains the dirty set, re-examines the
-// mutated subtrees plus every tracked suspect against the shape
-// detectors (and the sybil probe for detections), updates hysteresis
-// scores, and — with AutoQuarantine — quarantines flagged
-// high-severity roots. A scan with nothing to do returns immediately
-// with Stats.Skipped.
+// Scan runs one audit pass over the latest committed version: it
+// examines every node against the shape detectors (and the sybil probe
+// for detections), updates hysteresis scores, and — with
+// AutoQuarantine — quarantines flagged high-severity roots. When the
+// version has not moved since the last scan and no suspect is tracked,
+// the scan returns at once with Stats.Skipped and takes no snapshot.
 func (a *Auditor) Scan() Stats {
 	a.scanMu.Lock()
 	defer a.scanMu.Unlock()
+	// Read the version before taking mu: mu is never held while the
+	// server's lock is.
+	current := a.src.Version()
 	a.mu.Lock()
-	full := a.full
-	dirty := a.dirty
-	a.full = false
-	a.dirty = make(map[string]struct{})
-	suspectKeys := make([]string, 0, len(a.scores))
-	for key := range a.scores {
-		suspectKeys = append(suspectKeys, key)
-	}
+	idle := a.scans > 0 && current == a.version && len(a.scores) == 0
 	a.mu.Unlock()
-
-	if !full && len(dirty) == 0 && len(suspectKeys) == 0 {
+	if idle {
 		return Stats{Skipped: true}
 	}
 
 	start := time.Now()
 	t, quarantined, version := a.src.AuditSnapshot()
-	byName := make(map[string]tree.NodeID, t.NumParticipants())
-	for _, u := range t.Nodes() {
-		byName[t.Label(u)] = u
-	}
-
-	// Candidate roots: for every dirty name, the head of its enclosing
-	// single-child chain (a contribution to a chain tail implicates the
-	// head) and its parent (a join under a sponsor may complete a star
-	// burst there); plus every tracked suspect, so hysteresis keeps
-	// moving after writes stop.
-	candidates := make(map[tree.NodeID]struct{})
-	add := func(name string) {
-		id, ok := byName[name]
-		if !ok {
-			return
-		}
-		candidates[id] = struct{}{}
-		candidates[chainHead(t, id)] = struct{}{}
-		candidates[t.Parent(id)] = struct{}{}
-	}
-	if full {
-		for _, u := range t.Nodes() {
-			candidates[u] = struct{}{}
-		}
-		candidates[tree.Root] = struct{}{}
-	} else {
-		for name := range dirty {
-			add(name)
-		}
-		for _, key := range suspectKeys {
-			add(key)
-		}
-	}
-
-	// Deterministic examination order.
-	order := make([]tree.NodeID, 0, len(candidates))
-	for id := range candidates {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
 	detected := make(map[string]detection)
-	for _, id := range order {
+	for id := tree.NodeID(0); int(id) < t.Len(); id++ {
 		for _, d := range detectShapes(t, id) {
 			key := d.rootName(t)
 			if prev, ok := detected[key]; ok && prev.severity >= d.severity {
@@ -399,8 +335,8 @@ func (a *Auditor) Scan() Stats {
 		if _, ok := detected[key]; ok {
 			continue
 		}
-		// Every suspect was a candidate this scan (or the scan was
-		// full), so no detection means the shape is gone: decay.
+		// Every node was examined, so no detection means the shape is
+		// gone: decay.
 		sc.score *= decay
 		if sc.flagged && sc.score < clearScore {
 			sc.flagged = false
@@ -457,7 +393,7 @@ func (a *Auditor) Scan() Stats {
 		a.metricLatency.Observe(time.Since(start).Seconds())
 	}
 	return Stats{
-		Candidates:  len(order),
+		Candidates:  t.Len(),
 		Detected:    len(detected),
 		Flagged:     flagged,
 		Quarantined: quarantinedNow,

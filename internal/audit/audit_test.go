@@ -31,6 +31,8 @@ func newFakeSource(t *testing.T) *fakeSource {
 	return &fakeSource{t: tree.New(), m: m, quarantined: make(map[string]bool)}
 }
 
+func (f *fakeSource) Version() uint64 { return f.version }
+
 func (f *fakeSource) AuditSnapshot() (*tree.Tree, []string, uint64) {
 	names := make([]string, 0, len(f.quarantined))
 	for n := range f.quarantined {
@@ -122,9 +124,9 @@ func TestScanSkipsWhenIdle(t *testing.T) {
 	if st := a.Scan(); !st.Skipped {
 		t.Fatalf("idle scan not skipped: %+v", st)
 	}
-	a.NotifyCommit(1, []string{"u1"})
+	src.version++
 	if st := a.Scan(); st.Skipped {
-		t.Fatal("scan after a commit notification skipped")
+		t.Fatal("scan after a new commit version skipped")
 	}
 }
 

@@ -85,27 +85,18 @@ func (d detection) quarantineTargets(t *tree.Tree) []string {
 	return []string{t.Label(d.root)}
 }
 
-// chainHead walks up from u to the top of its maximal single-child
-// chain: the highest ancestor reachable from u through parents that
-// have exactly one child. u itself when its parent branches.
-func chainHead(t *tree.Tree, u tree.NodeID) tree.NodeID {
-	if u == tree.Root {
-		return u
-	}
-	for {
-		p := t.Parent(u)
-		if p == tree.Root || t.NumChildren(p) != 1 {
-			return u
-		}
-		u = p
-	}
+// headsChain reports whether u tops its maximal single-child chain:
+// its parent is the tree root or has other children besides u.
+func headsChain(t *tree.Tree, u tree.NodeID) bool {
+	p := t.Parent(u)
+	return p == tree.Root || t.NumChildren(p) != 1
 }
 
 // detectShapes runs every detector anchored at id, returning zero, one,
 // or two detections (a node can head a chain and center a star).
 func detectShapes(t *tree.Tree, id tree.NodeID) []detection {
 	var out []detection
-	if id != tree.Root && chainHead(t, id) == id {
+	if id != tree.Root && headsChain(t, id) {
 		if d, ok := detectChain(t, id); ok {
 			out = append(out, d)
 		}

@@ -28,21 +28,25 @@ func TestChainHead(t *testing.T) {
 	tr.MustAdd(sponsor, 3) // second child: the chain below cannot absorb sponsor
 	ids := buildChain(tr, sponsor, 5, nil)
 
-	for _, id := range ids {
-		if got := chainHead(tr, id); got != ids[0] {
-			t.Fatalf("chainHead(%d) = %d, want %d", id, got, ids[0])
+	if !headsChain(tr, sponsor) {
+		t.Fatal("a child of the root does not head a chain")
+	}
+	if !headsChain(tr, ids[0]) {
+		t.Fatal("a child of a branching sponsor does not head a chain")
+	}
+	for _, id := range ids[1:] {
+		if headsChain(tr, id) {
+			t.Fatalf("mid-chain node %d heads a chain", id)
 		}
 	}
-	// With the branch removed the head's parent is a single-child node,
-	// so a lone-child sponsor joins the chain.
+	// Without the branch the sponsor has one child, so its chain runs
+	// through it: the sponsor heads, its lone child does not.
 	tr2 := tree.New()
 	lone := tr2.MustAdd(tree.Root, 2)
 	ids2 := buildChain(tr2, lone, 3, nil)
-	if got := chainHead(tr2, ids2[2]); got != lone {
-		t.Fatalf("chainHead through lone sponsor = %d, want %d", got, lone)
-	}
-	if got := chainHead(tr2, lone); got != lone {
-		t.Fatalf("chainHead(top) = %d, want %d", got, lone)
+	if !headsChain(tr2, lone) || headsChain(tr2, ids2[0]) {
+		t.Fatalf("lone sponsor: heads(%d) = %v, heads(%d) = %v, want true, false",
+			lone, headsChain(tr2, lone), ids2[0], headsChain(tr2, ids2[0]))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,9 +92,18 @@ func OpenFile(path string, policy SyncPolicy, every time.Duration) (*FileWriter,
 	if policy == SyncInterval && every <= 0 {
 		return nil, fmt.Errorf("journal: sync policy %q needs a positive interval", policy)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Create exclusively to learn whether the file is new: a new file's
+	// directory entry is durable only once its directory is synced.
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	created := err == nil
+	if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
+	}
+	if created {
+		syncDir(filepath.Dir(path))
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -188,10 +198,10 @@ func (fw *FileWriter) Size() int64 {
 
 // CompactTo atomically replaces the journal file with its suffix
 // starting at byte offset keep, returning the number of bytes dropped.
-// The suffix is copied to a temporary file, fsynced, and renamed over
-// the journal, so a crash at any point leaves either the full old file
-// or the complete suffix — never a partial journal. Callers must only
-// drop a prefix whose events are covered by a durable snapshot.
+// The suffix goes through WriteFileAtomic, so a crash at any point
+// leaves either the full old file or the complete suffix — never a
+// partial journal. Callers must only drop a prefix whose events are
+// covered by a durable snapshot.
 func (fw *FileWriter) CompactTo(keep int64) (int64, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -212,30 +222,9 @@ func (fw *FileWriter) CompactTo(keep int64) (int64, error) {
 	if _, err := src.Seek(keep, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("journal: compact seek: %w", err)
 	}
-	tmpPath := fw.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("journal: compact tmp: %w", err)
+	if err := WriteFileAtomic(fw.path, src); err != nil {
+		return 0, fmt.Errorf("journal: compact: %w", err)
 	}
-	if _, err := io.Copy(tmp, src); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("journal: compact copy: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("journal: compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := os.Rename(tmpPath, fw.path); err != nil {
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("journal: compact rename: %w", err)
-	}
-	syncDir(fw.path)
 	// Reopen so appends land in the new file; the old inode is garbage.
 	nf, err := os.OpenFile(fw.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -265,11 +254,65 @@ func (fw *FileWriter) Close() error {
 	return err
 }
 
-// syncDir best-effort fsyncs the directory containing path, making a
-// preceding rename durable. Errors are ignored: not all filesystems
-// support directory fsync, and the rename itself already happened.
-func syncDir(path string) {
-	d, err := os.Open(filepath.Dir(path))
+// WriteFileAtomic replaces the file at path with the bytes read from
+// src: it writes them to path+".tmp", fsyncs and closes that file,
+// renames it over path, then fsyncs the directory so the rename itself
+// survives a power loss. A crash at any point leaves either the old
+// file or the complete new one, never a partial file; a failure
+// removes the temp file.
+func WriteFileAtomic(path string, src io.Reader) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(f, src)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// MkdirAll creates dir and any missing parents, as os.MkdirAll does,
+// then fsyncs the parent of each directory it created, so the new
+// entries survive a power loss (best-effort, see syncDir).
+func MkdirAll(dir string) error {
+	var missing []string // deepest first
+	for d := filepath.Clean(dir); filepath.Dir(d) != d; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		}
+		missing = append(missing, d)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := len(missing) - 1; i >= 0; i-- {
+		syncDir(filepath.Dir(missing[i]))
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory after a create or rename in it. It is a
+// variable so tests can record the calls.
+var syncDir = fsyncDir
+
+// fsyncDir best-effort fsyncs dir, making a preceding create or rename
+// in it durable. Errors are ignored: not all filesystems support
+// directory fsync, and the entry itself already changed.
+func fsyncDir(dir string) {
+	d, err := os.Open(dir)
 	if err != nil {
 		return
 	}

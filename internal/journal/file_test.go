@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -360,5 +361,122 @@ func TestFileWriterRefusesAfterFailedRollback(t *testing.T) {
 	defer fw2.Close()
 	if _, err := fw2.Write(nil); err != nil {
 		t.Fatalf("reopened writer: %v", err)
+	}
+}
+
+// recordDirSyncs replaces syncDir for the rest of the test with a
+// recorder of the directories synced; check, when set, runs inside
+// each sync call.
+func recordDirSyncs(t *testing.T, check func(dir string)) *[]string {
+	t.Helper()
+	var calls []string
+	orig := syncDir
+	syncDir = func(dir string) {
+		if check != nil {
+			check(dir)
+		}
+		calls = append(calls, dir)
+	}
+	t.Cleanup(func() { syncDir = orig })
+	return &calls
+}
+
+// TestWriteFileAtomicSyncsDirAfterRename: the directory is synced once,
+// after the rename put the new bytes at path and before the call
+// returns, so the rename is durable when the caller goes on.
+func TestWriteFileAtomicSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snapshot.bin")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	calls := recordDirSyncs(t, func(string) {
+		if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+			t.Errorf("directory synced before the rename: %s holds %q (%v)", path, got, err)
+		}
+	})
+	if err := WriteFileAtomic(path, strings.NewReader("new")); err != nil {
+		t.Fatal(err)
+	}
+	if len(*calls) != 1 || (*calls)[0] != dir {
+		t.Fatalf("directory syncs = %q, want one of %q", *calls, dir)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+
+}
+
+// TestCompactToSyncsDirAfterRename: compaction replaces the journal
+// through WriteFileAtomic, so its directory is synced once the suffix
+// is in place.
+func TestCompactToSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.log")
+	fw, err := OpenFile(path, SyncOS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	if _, err := fw.Write([]byte("prefixsuffix")); err != nil {
+		t.Fatal(err)
+	}
+	calls := recordDirSyncs(t, func(string) {
+		if got, err := os.ReadFile(path); err != nil || string(got) != "suffix" {
+			t.Errorf("directory synced before the rename: %s holds %q (%v)", path, got, err)
+		}
+	})
+	if _, err := fw.CompactTo(int64(len("prefix"))); err != nil {
+		t.Fatal(err)
+	}
+	if len(*calls) != 1 || (*calls)[0] != dir {
+		t.Fatalf("directory syncs = %q, want one of %q", *calls, dir)
+	}
+}
+
+// TestOpenFileSyncsDirOnCreate: creating a journal syncs its directory,
+// so the new entry survives a power loss; reopening one does not.
+func TestOpenFileSyncsDirOnCreate(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.log")
+	calls := recordDirSyncs(t, nil)
+	for i, want := range [][]string{{dir}, nil} {
+		*calls = nil
+		fw, err := OpenFile(path, SyncOS, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(*calls, want) {
+			t.Fatalf("open %d: directory syncs = %q, want %q", i, *calls, want)
+		}
+	}
+}
+
+// TestMkdirAllSyncsParents: each directory MkdirAll creates has its
+// parent synced, outermost first; existing directories cost no sync.
+func TestMkdirAllSyncsParents(t *testing.T) {
+	root := t.TempDir()
+	calls := recordDirSyncs(t, nil)
+	data := filepath.Join(root, "data")
+	leaf := filepath.Join(data, "campaigns", "c1")
+	if err := MkdirAll(leaf); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(leaf); err != nil || !fi.IsDir() {
+		t.Fatalf("%s not created: %v", leaf, err)
+	}
+	want := []string{root, data, filepath.Join(data, "campaigns")}
+	if !slices.Equal(*calls, want) {
+		t.Fatalf("directory syncs = %q, want %q", *calls, want)
+	}
+	*calls = nil
+	if err := MkdirAll(leaf); err != nil {
+		t.Fatal(err)
+	}
+	if len(*calls) != 0 {
+		t.Fatalf("existing directory synced %q", *calls)
 	}
 }

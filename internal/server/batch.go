@@ -245,18 +245,14 @@ func (s *Server) undoLocked(undos []journal.Undo) {
 // publishLocked re-folds the reward aggregates on the root paths of
 // the committed joins and contributions, and moves the version when one
 // of those or a quarantine flip changed what a read returns (settles
-// and claims do not). The commit observer gets the names they touched.
+// and claims do not).
 func (s *Server) publishLocked(events []journal.Event) {
 	touched := make([]tree.NodeID, 0, len(events))
-	var names []string
 	flipped := false
 	for _, e := range events {
 		switch e.Kind {
 		case journal.KindJoin, journal.KindContribute:
 			touched = append(touched, s.state.ByName[e.Name])
-			if s.commitHook != nil {
-				names = append(names, e.Name)
-			}
 		case journal.KindQuarantine, journal.KindUnquarantine:
 			flipped = true
 		}
@@ -268,9 +264,6 @@ func (s *Server) publishLocked(events []journal.Event) {
 		s.refoldLocked(touched)
 	}
 	s.version++
-	if names != nil {
-		s.commitHook(s.version, names)
-	}
 }
 
 // refoldLocked brings the reward aggregates up to date with the tree

@@ -144,10 +144,6 @@ func (s *Server) adoptState(st *journal.State) {
 	// LastSeq may move backwards on a restore, but the view version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
-	if s.commitHook != nil {
-		// A restore invalidates any incremental knowledge downstream.
-		s.commitHook(s.version, nil)
-	}
 }
 
 // ApplyReplicated applies a batch of journal events replicated from a

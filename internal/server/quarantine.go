@@ -112,16 +112,14 @@ func (s *Server) servedRewardsLocked() (core.Rewards, []bool) {
 	return r, mask
 }
 
-// SetCommitObserver installs fn to be called after every commit that
-// joins or contributes and every state restore, with the new commit
-// version and the names the commit joined or contributed to (nil means
-// "anything may have changed" — restores). fn runs while the write
-// lock is held: it must be fast and must not call back into the
-// server. The background auditor uses this to maintain its dirty set.
-func (s *Server) SetCommitObserver(fn func(version uint64, touched []string)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commitHook = fn
+// Version returns the commit version: it moves on every commit that
+// changes what a read returns (a join, a contribution, a quarantine
+// flip) and on every restore, and never moves backwards. The
+// background auditor skips a scan while it stands still.
+func (s *Server) Version() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.version
 }
 
 // Mechanism returns the deployment's reward mechanism (immutable).

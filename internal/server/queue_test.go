@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 )
 
@@ -50,22 +52,41 @@ func waitQueue(t *testing.T, s *Server, want int) {
 	}
 }
 
+// batchLog is a journal sink that records the names each append
+// carried. A commit appends its batch with one Write, so each Write is
+// one batch.
+type batchLog struct {
+	mu      sync.Mutex
+	batches [][]string
+}
+
+func (l *batchLog) Write(p []byte) (int, error) {
+	events, err := journal.Read(bytes.NewReader(p))
+	if err != nil {
+		return 0, err
+	}
+	names := make([]string, len(events))
+	for i, e := range events {
+		names[i] = e.Name
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.batches = append(l.batches, names)
+	return len(p), nil
+}
+
 // wedgedJoins submits a join of "first" and then of each of names to a
 // wedged server, in that arrival order, and releases the wedge. It
 // returns each join's error, "first"'s first, and the names each
 // committed batch joined.
 func wedgedJoins(t *testing.T, batchMax int, names ...string) (errs []error, batches [][]string) {
 	t.Helper()
-	s := New(suiteMechanism(t, "geometric"), WithGroupCommit(batchMax, 0))
+	log := new(batchLog)
+	s := New(suiteMechanism(t, "geometric"), WithGroupCommit(batchMax, 0),
+		WithJournal(journal.NewWriter(log, 1)))
 	if err := s.Join("alice", ""); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	s.SetCommitObserver(func(_ uint64, touched []string) {
-		mu.Lock()
-		batches = append(batches, slices.Clone(touched))
-		mu.Unlock()
-	})
 	release := wedge(s)
 	all := append([]string{"first"}, names...)
 	results := make([]chan error, len(all))
@@ -83,9 +104,9 @@ func wedgedJoins(t *testing.T, batchMax int, names ...string) (errs []error, bat
 	for _, r := range results {
 		errs = append(errs, <-r)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return errs, batches
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	return errs, log.batches[1:] // the first batch joined alice
 }
 
 // TestSubmitReturnsValue: a submit returns its participant's view of

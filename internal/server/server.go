@@ -93,9 +93,6 @@ type Server struct {
 	// total is C(T) as tree.Total sums it, kept current only when the
 	// local form reads it.
 	total float64
-	// commitHook, when set, observes committed batches and restores; it
-	// runs under the write lock (see SetCommitObserver).
-	commitHook func(version uint64, touched []string)
 	// auditor, when set, backs the audit report/scan endpoints (see
 	// audit_http.go and SetAuditor).
 	auditor *audit.Auditor

@@ -11,52 +11,46 @@ import (
 
 // BenchmarkStoreParallelCampaigns measures concurrent writes spread
 // across many campaigns. Each campaign has its own server lock, so the
-// only shared state on the hot path is the campaign lookup — the
-// benchmark's shard dimension shows cross-campaign writes scaling with
-// the stripe count (shards=1 funnels every lookup through one RWMutex).
+// only shared state on the hot path is the campaign lookup and its
+// lock stripes.
 func BenchmarkStoreParallelCampaigns(b *testing.B) {
 	const campaigns = 16
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			st, err := Open(Config{
-				Shards:             shards,
-				CheckpointInterval: -1,
-				CheckpointBytes:    -1,
-				NewMechanism: func(name string, p core.Params) (core.Mechanism, error) {
-					return experiments.ByName(p, name)
-				},
-			})
-			if err != nil {
+	st, err := Open(Config{
+		CheckpointInterval: -1,
+		CheckpointBytes:    -1,
+		NewMechanism: func(name string, p core.Params) (core.Mechanism, error) {
+			return experiments.ByName(p, name)
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	ids := make([]string, campaigns)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench-%02d", i)
+		c, err := st.Create(Meta{ID: ids[i], Mechanism: "geometric"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Server().Join("seed", ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Each goroutine writes to its own campaign so server
+		// locks never contend; lookup striping is what's measured.
+		id := ids[int(next.Add(1))%campaigns]
+		for pb.Next() {
+			c, ok := st.Get(id)
+			if !ok {
+				b.Fatal("campaign vanished")
+			}
+			if err := c.Server().Contribute("seed", 1); err != nil {
 				b.Fatal(err)
 			}
-			defer st.Close()
-			ids := make([]string, campaigns)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("bench-%02d", i)
-				c, err := st.Create(Meta{ID: ids[i], Mechanism: "geometric"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Server().Join("seed", ""); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Each goroutine writes to its own campaign so server
-				// locks never contend; lookup striping is what's measured.
-				id := ids[int(next.Add(1))%campaigns]
-				for pb.Next() {
-					c, ok := st.Get(id)
-					if !ok {
-						b.Fatal("campaign vanished")
-					}
-					if err := c.Server().Contribute("seed", 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }

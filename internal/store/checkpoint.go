@@ -20,7 +20,7 @@ import (
 // every CheckpointInterval it checkpoints campaigns with
 // uncheckpointed events, in between it services size-trigger kicks
 // posted by the HTTP layer when a journal passes CheckpointBytes,
-// every AuditInterval it runs one incremental audit scan per campaign,
+// every AuditInterval it runs one audit scan per campaign,
 // and every EpochInterval it settles each campaign's next payout
 // epoch.
 func (st *Store) Run(ctx context.Context) {
@@ -90,9 +90,9 @@ func (st *Store) maybeKick(c *Campaign) {
 }
 
 // AuditAll runs one audit scan on every campaign with an attached
-// auditor. Scans with nothing dirty return immediately; scans that
-// auto-quarantined appended journal records, so the size trigger is
-// re-checked.
+// auditor. An idle campaign's scan returns without a snapshot; scans
+// that auto-quarantined appended journal records, so the size trigger
+// is re-checked.
 func (st *Store) AuditAll() {
 	for _, c := range st.List() {
 		if c.auditor == nil {
@@ -147,10 +147,11 @@ const snapFile = "snapshot.bin"
 //
 //  1. Under the server's read lock, clone the state at sequence k and
 //     record the journal byte offset holding exactly events 1..k.
-//  2. Write the snapshot file via temp + fsync + rename — the snapshot
-//     is now durable; every event <= k is garbage.
+//  2. Write the snapshot file via temp + fsync + rename + directory
+//     fsync (journal.WriteFileAtomic) — the snapshot is now durable;
+//     every event <= k is garbage.
 //  3. Compact the journal to its suffix after the recorded offset
-//     (copy + fsync + rename, see journal.FileWriter.CompactTo).
+//     (the same routine, see journal.FileWriter.CompactTo).
 //
 // A crash before step 2's rename leaves the old snapshot + full
 // journal; after it, the new snapshot + a journal whose covered prefix
@@ -197,7 +198,10 @@ func writeSnapshot(dir string, snap *server.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(dir, snapFile), data)
+	if err := journal.WriteFileAtomic(filepath.Join(dir, snapFile), bytes.NewReader(data)); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // recoverAll scans the data directory and rebuilds every campaign

@@ -17,9 +17,11 @@
 // response is sent (see internal/journal for the sync policy knob). A
 // background checkpointer periodically — and whenever a journal exceeds
 // a size threshold — writes an atomic snapshot (temp file + fsync +
-// rename) and then compacts the journal down to the events the snapshot
-// does not cover, so recovery cost is O(snapshot + suffix) instead of
-// O(all events ever). Recovery rebuilds each campaign from snapshot +
+// rename + directory fsync) and then compacts the journal down to the
+// events the snapshot does not cover, so recovery cost is O(snapshot +
+// suffix) instead of O(all events ever). Every file or directory the
+// store creates or renames has its directory fsynced, so the entry
+// survives a power loss. Recovery rebuilds each campaign from snapshot +
 // journal suffix, tolerating a torn final journal record (crash
 // mid-append) by truncating it away. Files from releases that wrote
 // JSON to disk (a snapshot.json, or JSON lines in journal.log) fail
@@ -28,6 +30,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,20 +57,19 @@ const DefaultID = "default"
 
 // Defaults for Config fields left zero.
 const (
-	DefaultShards           = 16
 	DefaultCheckpointBytes  = 1 << 20 // compact once a journal passes 1 MiB
 	DefaultCheckpointEvery  = 30 * time.Second
 	defaultMechanismFallbck = "tdrm"
 )
+
+// shardCount is the number of lock stripes for campaign lookup.
+const shardCount = 16
 
 // Config parameterizes a Store.
 type Config struct {
 	// DataDir is the root of the on-disk layout. Empty means ephemeral:
 	// campaigns live in memory only, with no journals or checkpoints.
 	DataDir string
-	// Shards is the number of lock stripes for campaign lookup, rounded
-	// up to a power of two. Zero means DefaultShards.
-	Shards int
 	// CheckpointInterval is the period of the background checkpointer;
 	// every tick checkpoints campaigns with uncheckpointed events. Zero
 	// means DefaultCheckpointEvery; negative disables periodic
@@ -93,8 +95,8 @@ type Config struct {
 	// means server.DefaultQueueDepth.
 	QueueDepth int
 	// AuditInterval enables the online Sybil audit service: every
-	// campaign gets a background auditor (see internal/audit) whose
-	// incremental scans run on this period from the store's Run loop.
+	// campaign gets a background auditor (see internal/audit) that
+	// scans on this period from the store's Run loop.
 	// Zero or negative disables the service; followers never audit (the
 	// primary's quarantine decisions replicate like any other write).
 	AuditInterval time.Duration
@@ -173,10 +175,9 @@ func (c *Campaign) Server() *server.Server { return c.srv }
 func (c *Campaign) Auditor() *audit.Auditor { return c.auditor }
 
 // attachAudit wires the audit service onto a freshly installed
-// campaign: the auditor subscribes to committed batches through the
-// server's commit observer and backs the audit HTTP endpoints. The
-// auditor's first scan is always a full pass, so installation order
-// relative to early writes does not matter.
+// campaign: the auditor reads the server's committed versions and backs
+// the audit HTTP endpoints. The auditor's first scan is never skipped,
+// so writes from before it attached are examined too.
 func (st *Store) attachAudit(c *Campaign) {
 	if st.cfg.AuditInterval <= 0 || st.cfg.Follower {
 		return
@@ -191,7 +192,6 @@ func (st *Store) attachAudit(c *Campaign) {
 		Labels:         labels,
 	}, c.srv)
 	c.auditor = a
-	c.srv.SetCommitObserver(a.NotifyCommit)
 	c.srv.SetAuditor(a)
 }
 
@@ -217,8 +217,7 @@ type shard struct {
 // checkpointer. Create/Get/Delete are safe for concurrent use.
 type Store struct {
 	cfg    Config
-	shards []shard
-	mask   uint32
+	shards [shardCount]shard
 
 	// checkpoint instrumentation (nil-safe wrappers when cfg.Metrics is
 	// unset).
@@ -249,13 +248,6 @@ func Open(cfg Config) (_ *Store, err error) {
 	if cfg.Follower && cfg.DataDir != "" {
 		return nil, errors.New("store: a follower store cannot have a DataDir (state is replicated, not persisted)")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointEvery
 	}
@@ -269,10 +261,8 @@ func Open(cfg Config) (_ *Store, err error) {
 		cfg.DefaultParams = core.DefaultParams()
 	}
 	st := &Store{
-		cfg:    cfg,
-		shards: make([]shard, n),
-		mask:   uint32(n - 1),
-		kick:   make(chan *Campaign, 64),
+		cfg:  cfg,
+		kick: make(chan *Campaign, 64),
 	}
 	for i := range st.shards {
 		st.shards[i].m = make(map[string]*Campaign)
@@ -299,7 +289,7 @@ func Open(cfg Config) (_ *Store, err error) {
 			"Journal bytes dropped by checkpoint compaction.")
 	}
 	if cfg.DataDir != "" {
-		if err := os.MkdirAll(st.campaignsRoot(), 0o755); err != nil {
+		if err := journal.MkdirAll(st.campaignsRoot()); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		if err := st.recoverAll(); err != nil {
@@ -326,7 +316,7 @@ func (st *Store) campaignsRoot() string {
 func (st *Store) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return &st.shards[h.Sum32()&st.mask]
+	return &st.shards[h.Sum32()%shardCount]
 }
 
 // Get returns the campaign with the given id.
@@ -399,11 +389,11 @@ func (st *Store) Create(meta Meta) (*Campaign, error) {
 	c := &Campaign{Meta: meta}
 	if st.cfg.DataDir != "" {
 		c.dir = filepath.Join(st.campaignsRoot(), meta.ID)
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		if err := journal.MkdirAll(c.dir); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if err := writeFileAtomic(filepath.Join(c.dir, "meta.json"), mustJSON(meta)); err != nil {
-			return nil, err
+		if err := journal.WriteFileAtomic(filepath.Join(c.dir, "meta.json"), bytes.NewReader(mustJSON(meta))); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
 		fw, err := journal.OpenFile(filepath.Join(c.dir, journalFile), st.cfg.Sync, st.cfg.SyncInterval)
 		if err != nil {
@@ -533,33 +523,4 @@ func mustJSON(v any) []byte {
 		panic(err)
 	}
 	return append(data, '\n')
-}
-
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so readers never observe a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: rename %s: %w", tmp, err)
-	}
-	return nil
 }

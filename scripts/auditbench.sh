@@ -10,10 +10,11 @@
 #
 #   OUT=BENCH_4.json sh scripts/auditbench.sh
 #
-# Scans stay cheap on the hot path by design: the auditor copies the
-# mutated subtrees under the server's read lock, then detects shapes
-# and runs the counterfactual probe entirely off-lock, so contribute
-# batches only ever contend with the brief snapshot copy.
+# Scans stay cheap on the hot path by design: under the server's read
+# lock the auditor only reads the commit version and clones the whole
+# tree, then detects shapes and runs the counterfactual probe entirely
+# off-lock, so contribute batches only ever contend with the version
+# read and the clone.
 set -eu
 
 GO=${GO:-go}
@@ -23,8 +24,11 @@ DURATION=${DURATION:-4s}
 PARTICIPANTS=${PARTICIPANTS:-256}
 MAX_OVERHEAD_PCT=${MAX_OVERHEAD_PCT:-5}
 DIR=$(mktemp -d)
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$DIR"' EXIT
+# measure runs in a command substitution, a subshell, so the daemons'
+# pids go through a file for the exit trap to find. The daemons are not
+# this shell's children, so the trap polls until each has exited (its
+# shutdown checkpoint writes under $DIR) before removing $DIR.
+trap 'for p in $(cat "$DIR/pids" 2>/dev/null); do kill "$p" 2>/dev/null || true; while kill -0 "$p" 2>/dev/null; do sleep 0.1; done; done; rm -rf "$DIR"' EXIT
 
 $GO build -o "$DIR/itreed" ./cmd/itreed
 $GO build -o "$DIR/itreeload" ./cmd/itreeload
@@ -48,7 +52,7 @@ measure() {
     _log=$2
     shift 2
     "$DIR/itreed" -addr 127.0.0.1:0 -data-dir "$_data" "$@" >"$_log" 2>&1 &
-    PIDS="$PIDS $!"
+    echo $! >>"$DIR/pids"
     _addr=$(wait_addr "$_log")
     "$DIR/itreeload" -addr "http://$_addr" -scenario honest -seed 11 \
         -workers "$WORKERS" -duration "$DURATION" -participants "$PARTICIPANTS" \

@@ -2,11 +2,13 @@
 # auditsmoke boots a real itreed with the online audit service enabled
 # and drives the Sybil-detection contract end to end on the real
 # binaries: an adversarial itreeload mix (organic growth + injected
-# Sybil arrangements with ground truth) must yield at least one matched
-# finding and quarantine nobody honest; an honest-only mix on a second
-# campaign must quarantine nobody at all; and the quarantine state must
-# come back byte-identically after kill -9 plus restart. Run with
-# RACE=1 to build the daemon with the race detector (CI does).
+# Sybil arrangements with ground truth) must have every planted
+# arrangement matched by a finding and quarantine nobody honest; an
+# honest-only mix on a second campaign must quarantine nobody at all,
+# and once its commit version stops moving a scan must be skipped; and
+# the quarantine state must come back byte-identically after kill -9
+# plus restart. Run with RACE=1 to build the daemon with the race
+# detector (CI does).
 set -eu
 
 GO=${GO:-go}
@@ -64,7 +66,7 @@ QUAR=$(audit_field "$ADV" quarantined)
 QHONEST=$(audit_field "$ADV" quarantined_honest)
 [ -n "$MATCHED" ] || { echo "auditsmoke: no audit report line in adversarial run" >&2; exit 1; }
 [ "$PLANTED" -ge 1 ] || { echo "auditsmoke: adversarial scenario injected nothing" >&2; exit 1; }
-[ "$MATCHED" -ge 1 ] || { echo "auditsmoke: auditor matched $MATCHED/$PLANTED planted arrangements" >&2; exit 1; }
+[ "$MATCHED" = "$PLANTED" ] || { echo "auditsmoke: auditor matched $MATCHED/$PLANTED planted arrangements" >&2; exit 1; }
 [ "$QUAR" -ge 1 ] || { echo "auditsmoke: auditor quarantined nothing ($QUAR)" >&2; exit 1; }
 [ "$QHONEST" = "0" ] || { echo "auditsmoke: $QHONEST honest participants quarantined" >&2; exit 1; }
 
@@ -79,6 +81,12 @@ CQHONEST=$(audit_field "$CLEAN" quarantined_honest)
 [ -n "$CQUAR" ] || { echo "auditsmoke: no audit report line in honest run" >&2; exit 1; }
 [ "$CQUAR" = "0" ] || { echo "auditsmoke: honest-only campaign has $CQUAR quarantined" >&2; exit 1; }
 [ "$CQHONEST" = "0" ] || { echo "auditsmoke: honest-only campaign quarantined $CQHONEST honest names" >&2; exit 1; }
+
+# Idle skip: with no write since, the first scan brings the auditor up
+# to the latest version and the second has nothing to read.
+curl -fsS -X POST "http://$ADDR/v1/campaigns/clean/audit/scan" >/dev/null
+IDLE=$(curl -fsS -X POST "http://$ADDR/v1/campaigns/clean/audit/scan")
+echo "$IDLE" | grep -q '"skipped":true' || { echo "auditsmoke: idle honest campaign still scanning: $IDLE" >&2; exit 1; }
 
 # The audit service is on the metrics surface.
 METRICS=$(curl -fsS "http://$ADDR/metrics")
