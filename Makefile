@@ -1,8 +1,7 @@
 GO ?= go
-BENCHTIME ?= 300ms
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint fmtcheck test race bench benchsmoke benchcheck bench-json fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
+.PHONY: check build vet lint fmtcheck test race bench benchsmoke benchcheck fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
 
 check: build vet lint fmtcheck test race benchsmoke benchcheck fuzzsmoke loadsmoke replicasmoke auditsmoke settlesmoke
 
@@ -73,7 +72,7 @@ fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSettleRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzApplyUndo -fuzztime=$(FUZZTIME) ./internal/journal/
-	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzServedRewardsMatchEvaluation -fuzztime=$(FUZZTIME) ./internal/server/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
@@ -120,11 +119,3 @@ auditbench:
 # BENCH_<n>.json point (see scripts/replicabench.sh).
 replicabench:
 	GO=$(GO) sh scripts/replicabench.sh
-
-# bench-json runs the root benchmark suite and writes the next free
-# BENCH_<n>.json snapshot (ns/op, B/op, allocs/op per benchmark), the
-# baseline trail for performance work. Compare against a committed
-# baseline with:
-#   go run ./cmd/benchjson -compare BENCH_0.json [-max-regress 1.3]
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME)

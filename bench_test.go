@@ -451,7 +451,7 @@ func benchCodecSizes() []int {
 // the binary checkpoint format (DESIGN.md §8) on encode and decode.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	for _, n := range benchCodecSizes() {
-		snap := &server.Snapshot{
+		snap := &journal.Snapshot{
 			LastSeq:     uint64(n),
 			Tree:        benchTree(n),
 			Quarantined: []string{"p3", "p7"},
@@ -460,7 +460,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		binData, err := server.EncodeSnapshotBinary(snap)
+		binData, err := journal.EncodeSnapshot(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("encode/binary/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := server.EncodeSnapshotBinary(snap); err != nil {
+				if _, err := journal.EncodeSnapshot(snap); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -483,7 +483,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("decode/json/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var decoded server.Snapshot
+				var decoded journal.Snapshot
 				if err := json.Unmarshal(jsonData, &decoded); err != nil {
 					b.Fatal(err)
 				}
@@ -492,7 +492,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("decode/binary/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := server.DecodeSnapshot(binData); err != nil {
+				if _, err := journal.DecodeSnapshot(binData); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -528,7 +528,7 @@ func BenchmarkRecovery(b *testing.B) {
 			names = append(names, name)
 		}
 		snap := srv.SnapshotAt(nil)
-		snapData, err := server.EncodeSnapshotBinary(&snap)
+		snapData, err := journal.EncodeSnapshot(&snap)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -552,7 +552,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Run(fmt.Sprintf("snapshot/binary/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				decoded, err := server.DecodeSnapshot(snapData)
+				decoded, err := journal.DecodeSnapshot(snapData)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"incentivetree/internal/journal"
-	"incentivetree/internal/server"
 )
 
 // runConvert implements `itree convert`: translate snapshots and
@@ -92,17 +91,17 @@ func runConvert(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 func convertSnapshot(data []byte, mode journal.Mode) ([]byte, error) {
-	snap := new(server.Snapshot)
-	if server.IsBinarySnapshot(data) {
+	snap := new(journal.Snapshot)
+	if journal.IsBinarySnapshot(data) {
 		var err error
-		if snap, err = server.DecodeSnapshot(data); err != nil {
+		if snap, err = journal.DecodeSnapshot(data); err != nil {
 			return nil, err
 		}
 	} else if err := json.Unmarshal(data, snap); err != nil {
 		return nil, fmt.Errorf("decode JSON snapshot: %w", err)
 	}
 	if mode == journal.ModeBinary {
-		return server.EncodeSnapshotBinary(snap)
+		return journal.EncodeSnapshot(snap)
 	}
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

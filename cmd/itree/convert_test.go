@@ -11,7 +11,6 @@ import (
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
 	"incentivetree/internal/journal"
-	"incentivetree/internal/server"
 	"incentivetree/internal/store"
 	"incentivetree/internal/tree"
 )
@@ -152,7 +151,7 @@ func TestConvertSnapshotRoundTrip(t *testing.T) {
 	tr.SetLabel(a, "alice")
 	b, _ := tr.Add(a, 2.25)
 	tr.SetLabel(b, "bob")
-	bin, err := server.EncodeSnapshotBinary(&server.Snapshot{
+	bin, err := journal.EncodeSnapshot(&journal.Snapshot{
 		LastSeq:     7,
 		Tree:        tr,
 		Quarantined: []string{"bob"},

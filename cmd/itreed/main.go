@@ -12,7 +12,7 @@
 //	       [-journal-sync os|interval|always] [-journal-sync-interval 1s]
 //	       [-batch-max 64] [-queue-depth 1024]
 //	       [-audit-interval 10s] [-audit-quarantine]
-//	       [-epoch-interval 1m] [-epoch-budget 0.4]
+//	       [-epoch-interval 1m]
 //	       [-role primary|follower] [-primary http://host:8080]
 //	       [-max-staleness 5s]
 //
@@ -39,12 +39,12 @@
 // intact.
 //
 // With -epoch-interval set, every campaign settles a payout epoch on
-// that cadence (see internal/settle): the budget pool accrues
-// -epoch-budget (default: the mechanism's Phi) per unit of new
-// contribution, the served reward table — quarantined subtrees masked
-// to zero — is frozen into one atomic journal settle record, and
-// participants collect their shares through the idempotent claims
-// ledger (POST /v1/campaigns/{id}/claims; a double claim answers 409).
+// that cadence (see journal.Ledger.Settle): the budget pool accrues the
+// campaign's Phi per unit of new contribution, the served reward table
+// — quarantined subtrees masked to zero — is frozen into one atomic
+// journal settle record, and participants collect their shares through
+// the idempotent claims ledger (POST /v1/campaigns/{id}/claims; a
+// double claim answers 409).
 // GET .../epochs lists the settled epochs with claimed/unclaimed
 // accounting; POST .../epochs/settle settles one on demand, so
 // settlement works as a pure operator action without the ticker too.
@@ -205,8 +205,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		"let the auditor auto-quarantine quarantine-grade findings (ε-chains, star bursts); otherwise it only reports")
 	epochInterval := fs.Duration("epoch-interval", 0,
 		"per-campaign payout epoch settlement cadence (0 disables the ticker; POST .../epochs/settle still works)")
-	epochBudget := fs.Float64("epoch-budget", 0,
-		"budget fraction accrued to each epoch's pool per unit of new contribution (0 = the mechanism's Phi)")
 	role := fs.String("role", "primary",
 		"primary (serve writes, publish replication) or follower (read replica of -primary)")
 	primaryURL := fs.String("primary", "",
@@ -247,9 +245,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *epochBudget < 0 || *epochBudget > 1 || *epochBudget != *epochBudget {
-		return nil, errors.New("-epoch-budget must be a fraction in [0, 1]")
-	}
 
 	params := core.Params{Phi: *phi, FairShare: *fair}
 	reg := obs.Default()
@@ -276,7 +271,6 @@ func setup(args []string, stdout io.Writer) (*daemon, error) {
 		AuditInterval:      *auditInterval,
 		AuditQuarantine:    *auditQuarantine,
 		EpochInterval:      *epochInterval,
-		EpochBudget:        *epochBudget,
 		Metrics:            reg,
 		NewMechanism:       newMechanism,
 		DefaultMechanism:   *mech,

@@ -48,17 +48,12 @@ func TestSetupErrors(t *testing.T) {
 	if _, err := setup([]string{"-seed", "dup,dup"}, &out); err == nil {
 		t.Fatal("duplicate seeds should fail")
 	}
-	if _, err := setup([]string{"-epoch-budget", "1.5"}, &out); err == nil {
-		t.Fatal("epoch budget above 1 should fail")
-	}
-	if _, err := setup([]string{"-epoch-budget", "-0.1"}, &out); err == nil {
-		t.Fatal("negative epoch budget should fail")
-	}
 	if _, err := setup([]string{"-journal-sync", "sometimes"}, &out); err == nil {
 		t.Fatal("bad sync policy should fail")
 	}
-	// The flat-file journal and the on-disk format switch are gone.
-	for _, flag := range []string{"-journal", "-format"} {
+	// The flat-file journal, the on-disk format switch and the
+	// process-wide epoch budget are gone.
+	for _, flag := range []string{"-journal", "-format", "-epoch-budget"} {
 		if _, err := setup([]string{flag, "x"}, &out); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}

@@ -147,19 +147,8 @@ func run(args []string, stdout io.Writer) error {
 		"epoch settlement cadence under -scenario=settlement (0 = a quarter of -duration)")
 	auditReport := fs.Bool("audit-report", false,
 		"after the measured phase, force two audit scans and print findings vs the scenario's ground truth")
-	treeSizeSweep := fs.Bool("tree-size-sweep", false,
-		"run the in-process scaling sweep (commit latency, resident bytes, recovery time per population size) instead of HTTP load; see -sweep-sizes")
-	sweepSizes := fs.String("sweep-sizes", "1000,10000,100000,1000000",
-		"comma-separated participant counts for -tree-size-sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *treeSizeSweep {
-		sizes, err := parseSweepSizes(*sweepSizes)
-		if err != nil {
-			return err
-		}
-		return runSweep(sizes, *seed, stdout)
 	}
 	switch *scenario {
 	case "steady", "honest", "adversarial", "settlement":

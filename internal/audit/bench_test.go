@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"incentivetree/internal/audit"
+	"incentivetree/internal/journal"
 	"incentivetree/internal/server"
 	"incentivetree/internal/treegen"
 )
@@ -18,7 +19,7 @@ import (
 func BenchmarkAuditScan(b *testing.B) {
 	b.Run("chain-40k/first-scan", func(b *testing.B) {
 		s, _ := newAuditedServer(b, audit.Config{})
-		if err := server.Recover(s, &server.Snapshot{Tree: treegen.ChainTree(40000, 1)}, nil); err != nil {
+		if err := server.Recover(s, &journal.Snapshot{Tree: treegen.ChainTree(40000, 1)}, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -41,6 +41,25 @@ func TestByNameKeysMatchSuiteOrder(t *testing.T) {
 	}
 }
 
+// TestByNameBuildsOnlyTheNamedMechanism: Φ = 0.4 with φ = 0.05 puts
+// φ/Φ above L-Pachira's β = 0.1, which only L-Pachira rejects; every
+// other mechanism still builds under those parameters.
+func TestByNameBuildsOnlyTheNamedMechanism(t *testing.T) {
+	p := core.Params{Phi: 0.4, FairShare: 0.05}
+	for _, name := range MechanismNames() {
+		_, err := ByName(p, name)
+		if name == "l-pachira" {
+			if err == nil || !strings.Contains(err.Error(), "experiments: l-pachira:") {
+				t.Errorf("ByName(%q): err = %v, want L-Pachira's own refusal", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ByName(%q): %v", name, err)
+		}
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	_, err := ByName(core.DefaultParams(), "ponzi")
 	if err == nil {

@@ -66,31 +66,15 @@ func (r Result) Render() string {
 //	TDRM(defaults)                       — Sect. 5, Theorem 4
 //	CDRM-Reciprocal, CDRM-Log            — Sect. 6, Theorem 5
 func Suite(p core.Params) ([]core.Mechanism, error) {
-	geo, err := geometric.Default(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: geometric: %w", err)
+	mechs := make([]core.Mechanism, 0, len(MechanismNames()))
+	for _, name := range MechanismNames() {
+		m, err := ByName(p, name)
+		if err != nil {
+			return nil, err
+		}
+		mechs = append(mechs, m)
 	}
-	luxor, err := lottree.NewLLuxor(p, 0.5, 0.5)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: l-luxor: %w", err)
-	}
-	pachira, err := lottree.NewLPachira(p, 0.1, 3)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: l-pachira: %w", err)
-	}
-	td, err := tdrm.Default(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tdrm: %w", err)
-	}
-	rec, err := cdrm.DefaultReciprocal(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cdrm-reciprocal: %w", err)
-	}
-	lg, err := cdrm.DefaultLog(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cdrm-log: %w", err)
-	}
-	return []core.Mechanism{geo, luxor, pachira, td, rec, lg}, nil
+	return mechs, nil
 }
 
 // MechanismNames lists the selector keys accepted by ByName, in suite
@@ -99,20 +83,33 @@ func MechanismNames() []string {
 	return []string{"geometric", "l-luxor", "l-pachira", "tdrm", "cdrm-reciprocal", "cdrm-log"}
 }
 
-// ByName returns the suite mechanism with the given selector key (see
-// MechanismNames).
+// ByName builds the suite mechanism with the given selector key (see
+// MechanismNames) and no other, so parameters only it rejects fail
+// only it.
 func ByName(p core.Params, name string) (core.Mechanism, error) {
-	mechs, err := Suite(p)
+	var m core.Mechanism
+	var err error
+	switch name {
+	case "geometric":
+		m, err = geometric.Default(p)
+	case "l-luxor":
+		m, err = lottree.NewLLuxor(p, 0.5, 0.5)
+	case "l-pachira":
+		m, err = lottree.NewLPachira(p, 0.1, 3)
+	case "tdrm":
+		m, err = tdrm.Default(p)
+	case "cdrm-reciprocal":
+		m, err = cdrm.DefaultReciprocal(p)
+	case "cdrm-log":
+		m, err = cdrm.DefaultLog(p)
+	default:
+		return nil, fmt.Errorf("experiments: unknown mechanism %q (choose one of %s)",
+			name, strings.Join(MechanismNames(), ", "))
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
-	for i, key := range MechanismNames() {
-		if key == name {
-			return mechs[i], nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown mechanism %q (choose one of %s)",
-		name, strings.Join(MechanismNames(), ", "))
+	return m, nil
 }
 
 // Workers bounds the parallelism of the experiments that fan out — the

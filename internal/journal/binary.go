@@ -148,7 +148,7 @@ func byteToKind(b byte) (Kind, error) {
 	case 5:
 		return KindClaim, nil
 	default:
-		return "", fmt.Errorf("%w: unknown kind byte %#x", errBinaryRecord, b)
+		return "", fmt.Errorf("unknown kind byte %#x", b)
 	}
 }
 
@@ -171,10 +171,16 @@ func binaryPayloadSize(e Event) int {
 	case KindClaim:
 		n += uvarintLen(e.Epoch)
 	case KindSettle:
-		n += uvarintLen(e.Epoch) + 8 + 8 + uvarintLen(uint64(len(e.Rewards)))
-		for _, r := range e.Rewards {
-			n += uvarintLen(uint64(len(r.Name))) + len(r.Name) + 8
-		}
+		n += epochSize(e.Epoch, e.Rewards)
+	}
+	return n
+}
+
+// epochSize returns the length of appendEpoch's bytes.
+func epochSize(epoch uint64, rewards []RewardShare) int {
+	n := uvarintLen(epoch) + 8 + 8 + uvarintLen(uint64(len(rewards)))
+	for _, r := range rewards {
+		n += uvarintLen(uint64(len(r.Name))) + len(r.Name) + 8
 	}
 	return n
 }
@@ -203,27 +209,86 @@ func AppendBinaryRecord(dst []byte, e Event) ([]byte, error) {
 	case KindClaim:
 		dst = binary.AppendUvarint(dst, e.Epoch)
 	case KindSettle:
-		dst = binary.AppendUvarint(dst, e.Epoch)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Pool))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.CTotal))
-		dst = binary.AppendUvarint(dst, uint64(len(e.Rewards)))
-		for _, r := range e.Rewards {
-			dst = binary.AppendUvarint(dst, uint64(len(r.Name)))
-			dst = append(dst, r.Name...)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Amount))
-		}
+		dst = appendEpoch(dst, SettledEpoch{Epoch: e.Epoch, Pool: e.Pool, CTotal: e.CTotal, Rewards: e.Rewards})
 	}
 	crc := crc32.Checksum(dst[start:], castagnoli)
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	return dst, nil
 }
 
+// appendEpoch appends the bytes a settle record and a snapshot both
+// carry for a settled epoch: epoch, pool, ctotal, then the share
+// table. A snapshot writes the claimants after them.
+func appendEpoch(dst []byte, se SettledEpoch) []byte {
+	dst = binary.AppendUvarint(dst, se.Epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(se.Pool))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(se.CTotal))
+	dst = binary.AppendUvarint(dst, uint64(len(se.Rewards)))
+	for _, r := range se.Rewards {
+		dst = binary.AppendUvarint(dst, uint64(len(r.Name)))
+		dst = append(dst, r.Name...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Amount))
+	}
+	return dst
+}
+
+// readEpoch parses what appendEpoch wrote at *off. It only parses: the
+// caller validates what it read.
+func readEpoch(p []byte, off *int) (SettledEpoch, error) {
+	var se SettledEpoch
+	var err error
+	if se.Epoch, err = readUvarint(p, off, "epoch"); err != nil {
+		return se, err
+	}
+	if se.Pool, err = readFloat(p, off, "pool"); err != nil {
+		return se, err
+	}
+	if se.CTotal, err = readFloat(p, off, "ctotal"); err != nil {
+		return se, err
+	}
+	count, err := readUvarint(p, off, "share count")
+	if err != nil {
+		return se, err
+	}
+	// Every share takes at least 9 bytes, so a corrupt count cannot
+	// pre-allocate more than the input itself.
+	if count > uint64(len(p)-*off)/9 {
+		return se, fmt.Errorf("share count %d overruns input", count)
+	}
+	if count > 0 {
+		se.Rewards = make([]RewardShare, 0, count)
+	}
+	for i := uint64(0); i < count; i++ {
+		var r RewardShare
+		if r.Name, err = readString(p, off, "share name"); err != nil {
+			return se, err
+		}
+		if r.Amount, err = readFloat(p, off, "share amount"); err != nil {
+			return se, err
+		}
+		se.Rewards = append(se.Rewards, r)
+	}
+	return se, nil
+}
+
 // decodeBinaryPayload decodes (and validates) the payload of a binary
 // record whose CRC already checked out.
 func decodeBinaryPayload(p []byte) (Event, error) {
+	e, err := parseBinaryPayload(p)
+	if err != nil {
+		return Event{}, fmt.Errorf("%w: %v", errBinaryRecord, err)
+	}
+	if err := e.Validate(); err != nil {
+		return Event{}, err
+	}
+	return e, nil
+}
+
+// parseBinaryPayload parses a record's payload without validating it.
+func parseBinaryPayload(p []byte) (Event, error) {
 	off := 0
 	if len(p) == 0 {
-		return Event{}, fmt.Errorf("%w: empty payload", errBinaryRecord)
+		return Event{}, errors.New("empty payload")
 	}
 	kind, err := byteToKind(p[0])
 	if err != nil {
@@ -253,44 +318,14 @@ func decodeBinaryPayload(p []byte) (Event, error) {
 			return Event{}, err
 		}
 	case KindSettle:
-		if e.Epoch, err = readUvarint(p, &off, "epoch"); err != nil {
-			return Event{}, err
-		}
-		if e.Pool, err = readFloat(p, &off, "pool"); err != nil {
-			return Event{}, err
-		}
-		if e.CTotal, err = readFloat(p, &off, "ctotal"); err != nil {
-			return Event{}, err
-		}
-		count, err := readUvarint(p, &off, "share count")
+		se, err := readEpoch(p, &off)
 		if err != nil {
 			return Event{}, err
 		}
-		// Every share takes at least 9 payload bytes, so a corrupt
-		// count cannot pre-allocate more than the payload itself.
-		if count > uint64(len(p)-off)/9 {
-			return Event{}, fmt.Errorf("%w: share count %d overruns payload", errBinaryRecord, count)
-		}
-		if count > 0 {
-			e.Rewards = make([]RewardShare, 0, count)
-			for i := uint64(0); i < count; i++ {
-				rname, err := readString(p, &off, "share name")
-				if err != nil {
-					return Event{}, err
-				}
-				ramt, err := readFloat(p, &off, "share amount")
-				if err != nil {
-					return Event{}, err
-				}
-				e.Rewards = append(e.Rewards, RewardShare{Name: rname, Amount: ramt})
-			}
-		}
+		e.Epoch, e.Pool, e.CTotal, e.Rewards = se.Epoch, se.Pool, se.CTotal, se.Rewards
 	}
 	if off != len(p) {
-		return Event{}, fmt.Errorf("%w: payload length mismatch", errBinaryRecord)
-	}
-	if err := e.Validate(); err != nil {
-		return Event{}, err
+		return Event{}, errors.New("payload length mismatch")
 	}
 	return e, nil
 }
@@ -298,7 +333,7 @@ func decodeBinaryPayload(p []byte) (Event, error) {
 // readFloat decodes an 8-byte little-endian float64 at *off.
 func readFloat(p []byte, off *int, what string) (float64, error) {
 	if len(p)-*off < 8 {
-		return 0, fmt.Errorf("%w: truncated %s", errBinaryRecord, what)
+		return 0, fmt.Errorf("truncated %s", what)
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(p[*off:]))
 	*off += 8
@@ -311,10 +346,10 @@ func readFloat(p []byte, off *int, what string) (float64, error) {
 func readUvarint(p []byte, off *int, what string) (uint64, error) {
 	v, n := binary.Uvarint(p[*off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s varint", errBinaryRecord, what)
+		return 0, fmt.Errorf("truncated %s varint", what)
 	}
 	if n != uvarintLen(v) {
-		return 0, fmt.Errorf("%w: non-canonical %s varint", errBinaryRecord, what)
+		return 0, fmt.Errorf("non-canonical %s varint", what)
 	}
 	*off += n
 	return v, nil
@@ -327,7 +362,7 @@ func readString(p []byte, off *int, what string) (string, error) {
 		return "", err
 	}
 	if n > uint64(len(p)-*off) {
-		return "", fmt.Errorf("%w: %s overruns payload", errBinaryRecord, what)
+		return "", fmt.Errorf("%s overruns input", what)
 	}
 	s := string(p[*off : *off+int(n)])
 	*off += int(n)

@@ -1,15 +1,18 @@
-// Package journal provides an append-only event log for Incentive Tree
-// deployments: every state change (join, contribute, quarantine,
-// settle, claim) is recorded as one CRC-checked binary record (see
-// binary.go), and a log replays into the exact referral tree — and
-// payout-quarantine set and settlement ledger — it witnessed. Together
-// with a snapshot this gives the in-memory HTTP service
+// Package journal holds a campaign's state and every format it takes.
+// Every state change (join, contribute, quarantine, settle, claim) is
+// recorded as one CRC-checked binary record (see binary.go), and a log
+// replays into the exact referral tree — and payout-quarantine set and
+// settlement ledger — it witnessed. A Snapshot is the whole state at
+// one seq, in JSON or in the binary checkpoint codec (see
+// snapshot.go). Together they give the in-memory HTTP service
 // (internal/server) crash-recovery semantics: snapshot +
 // suffix-of-journal = current state.
 //
 // State.Apply is the one place the state rules live: the server
 // commits every write through it and Replay is a loop over it, so what
-// the live path acknowledges is exactly what recovery replays.
+// the live path acknowledges is exactly what recovery replays. It
+// requires each event to carry the next seq. Ledger.Settle computes the
+// next settle record, with the draw-down ApplySettle re-checks.
 package journal
 
 import (
@@ -395,15 +398,15 @@ type Undo struct {
 }
 
 // Apply checks e against the state and applies it: first Event.Validate,
-// then Seq > LastSeq, then the kind's preconditions. A failed check
+// then Seq == LastSeq+1, then the kind's preconditions. A failed check
 // changes nothing. On success LastSeq is e.Seq and the returned Undo
 // reverses the change.
 func (st *State) Apply(e Event) (Undo, error) {
 	if err := e.Validate(); err != nil {
 		return Undo{}, err
 	}
-	if e.Seq <= st.LastSeq {
-		return Undo{}, fmt.Errorf("journal: event %d applied out of order (last %d)", e.Seq, st.LastSeq)
+	if e.Seq != st.LastSeq+1 {
+		return Undo{}, fmt.Errorf("journal: event seq %d does not follow seq %d: missing events, or events out of order", e.Seq, st.LastSeq)
 	}
 	u := Undo{kind: e.Kind, name: e.Name, seq: st.LastSeq}
 	if e.Kind != KindJoin && e.Kind != KindSettle {
@@ -504,21 +507,6 @@ func Replay(base *State, events []Event) (*State, error) {
 			return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
 		}
 		metricReplays.Inc()
-	}
-	return st, nil
-}
-
-// StateFromTree rebuilds the replay state of an existing labelled tree
-// (e.g. a decoded snapshot), assigning it the given last sequence
-// number. Labels must be unique.
-func StateFromTree(t *tree.Tree, lastSeq uint64) (*State, error) {
-	st := &State{Tree: t, ByName: make(map[string]tree.NodeID, t.NumParticipants()), LastSeq: lastSeq, Quarantined: make(map[string]bool), Ledger: NewLedger()}
-	for _, u := range t.Nodes() {
-		name := t.Label(u)
-		if _, dup := st.ByName[name]; dup {
-			return nil, fmt.Errorf("journal: duplicate participant name %q in snapshot", name)
-		}
-		st.ByName[name] = u
 	}
 	return st, nil
 }

@@ -297,7 +297,7 @@ func TestSnapshotPlusSuffixEqualsFullReplay(t *testing.T) {
 	if err := json.Unmarshal(data, &restored); err != nil {
 		t.Fatal(err)
 	}
-	base, err := StateFromTree(&restored, prefix.LastSeq)
+	base, err := StateFromSnapshot(Snapshot{LastSeq: prefix.LastSeq, Tree: &restored})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSnapshotPlusSuffixEqualsFullReplay(t *testing.T) {
 	}
 }
 
-func TestStateFromTreeRejectsDuplicateNames(t *testing.T) {
+func TestStateFromSnapshotRejectsDuplicateNames(t *testing.T) {
 	tr := tree.New()
 	a := tr.MustAdd(tree.Root, 1)
 	b := tr.MustAdd(tree.Root, 1)
@@ -322,7 +322,7 @@ func TestStateFromTreeRejectsDuplicateNames(t *testing.T) {
 	if err := tr.SetLabel(b, "same"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StateFromTree(tr, 0); err == nil {
+	if _, err := StateFromSnapshot(Snapshot{Tree: tr}); err == nil {
 		t.Fatal("duplicate names should be rejected")
 	}
 }

@@ -2,6 +2,9 @@ package journal
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 )
 
 // The payout ledger. Settlement converts the continuously-recomputed
@@ -27,6 +30,10 @@ import (
 // the record (rather than journaling it) keeps a single source of
 // truth, and the sequential subtraction order makes the float result
 // identical on every replica.
+//
+// Settle computes the record of the next epoch from the served reward
+// table, and ApplySettle re-runs its draw-down: the one settlement
+// rule, in one place.
 
 // SettledEpoch is one frozen epoch as carried in snapshots and served
 // over HTTP. Rewards is strictly ascending by name; Claimed holds the
@@ -137,6 +144,55 @@ func (l *Ledger) CarryOut(n uint64) float64 {
 		return 0
 	}
 	return l.carry[n-1]
+}
+
+// Settle builds the settle record of the next epoch; it changes
+// nothing. The epoch's pool accrues frac (the mechanism's Φ) per unit
+// of contribution growth since the last settle, up to cNow = C(T), plus
+// what the last epoch left unallocated. served is the reward table as
+// the API serves it, quarantined subtrees already masked to zero, so a
+// quarantine in force keeps its subtree out of the epoch; Settle sorts
+// it by name in place. In that order each participant is granted the
+// growth of their served reward beyond everything settled to them
+// before, capped at what the pool has left; capped counts the grants
+// the cap cut or dropped. A reward that fell grants nothing and claws
+// nothing back. The pool is drawn down by the same sequential
+// subtraction ApplySettle re-runs over the record's shares, so the two
+// agree bit for bit. ok is false when there is nothing to settle (no
+// contribution growth and no grant): no epoch is created, and the
+// would-be pool stays in the accrual basis.
+func (l *Ledger) Settle(frac, cNow float64, served []RewardShare) (e Event, capped int, ok bool) {
+	cPrev, carry := l.AccrualBasis()
+	accrued := frac * (cNow - cPrev)
+	if !(accrued > 0) { // negative or NaN: accrue nothing
+		accrued = 0
+	}
+	pool := accrued + carry
+	remaining := pool
+	slices.SortFunc(served, func(a, b RewardShare) int { return strings.Compare(a.Name, b.Name) })
+	var shares []RewardShare
+	for _, r := range served {
+		delta := r.Amount - l.settledBy[r.Name]
+		if !(delta > 0) || math.IsInf(delta, 0) {
+			continue
+		}
+		grant := delta
+		if grant > remaining {
+			grant = remaining
+			capped++
+		}
+		if !(grant > 0) {
+			continue
+		}
+		// A grant that empties the pool leaves remaining at exactly
+		// zero here and in ApplySettle.
+		remaining -= grant
+		shares = append(shares, RewardShare{Name: r.Name, Amount: grant})
+	}
+	if len(shares) == 0 && cNow == cPrev {
+		return Event{}, capped, false
+	}
+	return Event{Kind: KindSettle, Epoch: l.NextEpoch(), Pool: pool, CTotal: cNow, Rewards: shares}, capped, true
 }
 
 // ApplySettle validates and applies one settle event.

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -212,5 +213,145 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	// stay identical to older releases.
 	if NewLedger().Snapshot() != nil {
 		t.Fatal("empty ledger snapshot not nil")
+	}
+}
+
+// settledLedger returns a ledger holding one settled epoch that ran up
+// to cTotal, granted shares and left carry unallocated.
+func settledLedger(t *testing.T, cTotal, carry float64, shares ...RewardShare) *Ledger {
+	t.Helper()
+	pool := carry
+	for _, r := range shares {
+		pool += r.Amount
+	}
+	l := NewLedger()
+	if err := l.ApplySettle(Event{Kind: KindSettle, Epoch: 1, Pool: pool, CTotal: cTotal, Rewards: shares}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.CarryOut(1); got != carry {
+		t.Fatalf("fixture carry = %v, want %v", got, carry)
+	}
+	return l
+}
+
+func TestLedgerSettleGrantsDeltasAscending(t *testing.T) {
+	l := NewLedger()
+	served := []RewardShare{{"carol", 3}, {"alice", 2}, {"bob", 1}}
+	ev, capped, ok := l.Settle(0.5, 20, served)
+	if !ok {
+		t.Fatal("Settle found nothing to settle")
+	}
+	if ev.Kind != KindSettle || ev.Epoch != 1 || ev.Pool != 10 || ev.CTotal != 20 || capped != 0 {
+		t.Fatalf("event = %+v, capped %d", ev, capped)
+	}
+	want := []RewardShare{{Name: "alice", Amount: 2}, {Name: "bob", Amount: 1}, {Name: "carol", Amount: 3}}
+	if len(ev.Rewards) != len(want) {
+		t.Fatalf("shares = %v, want %v", ev.Rewards, want)
+	}
+	for i := range want {
+		if ev.Rewards[i] != want[i] {
+			t.Fatalf("share %d = %v, want %v", i, ev.Rewards[i], want[i])
+		}
+	}
+	if err := l.ApplySettle(ev); err != nil {
+		t.Fatalf("settle record fails replay: %v", err)
+	}
+	if l.SettledAmount(1) != 6 || l.CarryOut(1) != 4 {
+		t.Fatalf("settled %v, carry %v; want 6 and 4", l.SettledAmount(1), l.CarryOut(1))
+	}
+}
+
+func TestLedgerSettleCapsAtPool(t *testing.T) {
+	l := NewLedger()
+	ev, capped, ok := l.Settle(0.1, 100, []RewardShare{{"alice", 6}, {"bob", 7}})
+	if !ok {
+		t.Fatal("Settle found nothing to settle")
+	}
+	// Pool is 10: alice takes her full 6, bob is capped to the 4 left,
+	// and the pool drains to exactly zero.
+	if len(ev.Rewards) != 2 || ev.Rewards[0].Amount != 6 || ev.Rewards[1].Amount != 4 || capped != 1 {
+		t.Fatalf("shares = %v, capped %d", ev.Rewards, capped)
+	}
+	// The record must replay cleanly: the budget invariant holds by
+	// construction.
+	if err := l.ApplySettle(ev); err != nil {
+		t.Fatalf("settle record fails replay: %v", err)
+	}
+	if l.CarryOut(1) != 0 {
+		t.Fatalf("replayed carry = %v, want 0", l.CarryOut(1))
+	}
+}
+
+func TestLedgerSettleDeltasAgainstSettled(t *testing.T) {
+	l := settledLedger(t, 20, 0.5, RewardShare{"alice", 2}, RewardShare{"bob", 5})
+	ev, _, ok := l.Settle(0.5, 30, []RewardShare{{"alice", 3.5}, {"bob", 5}, {"carol", 1}})
+	if !ok {
+		t.Fatal("Settle found nothing to settle")
+	}
+	// Pool = 0.5·10 + 0.5 = 5.5. Alice's delta is 1.5, bob's 0 (fully
+	// settled), carol's 1.
+	if ev.Epoch != 2 || ev.Pool != 5.5 {
+		t.Fatalf("epoch %d pool %v, want 2 and 5.5", ev.Epoch, ev.Pool)
+	}
+	if len(ev.Rewards) != 2 || ev.Rewards[0] != (RewardShare{Name: "alice", Amount: 1.5}) ||
+		ev.Rewards[1] != (RewardShare{Name: "carol", Amount: 1}) {
+		t.Fatalf("shares = %v", ev.Rewards)
+	}
+	if err := l.ApplySettle(ev); err != nil {
+		t.Fatalf("settle record fails replay: %v", err)
+	}
+	if l.CarryOut(2) != 3 {
+		t.Fatalf("carry = %v, want 3", l.CarryOut(2))
+	}
+}
+
+func TestLedgerSettleNothingToSettle(t *testing.T) {
+	// No contribution growth, no deltas: skip the epoch entirely.
+	l := settledLedger(t, 4, 1, RewardShare{"alice", 2})
+	if _, _, ok := l.Settle(0.5, 4, []RewardShare{{"alice", 2}}); ok {
+		t.Fatal("Settle settled an idle epoch")
+	}
+	// A reward decrease (quarantine imposed after settlement) grants
+	// nothing and never claws back.
+	if _, _, ok := l.Settle(0.5, 4, []RewardShare{{"alice", 1}}); ok {
+		t.Fatal("Settle settled a clawback")
+	}
+	// Contribution growth alone settles (the pool must advance even if
+	// every grantable delta is zero — e.g. the growth happened inside a
+	// quarantined subtree).
+	ev, _, ok := l.Settle(0.5, 6, []RewardShare{{"alice", 2}})
+	if !ok {
+		t.Fatal("Settle skipped an epoch with accrual")
+	}
+	if len(ev.Rewards) != 0 || ev.Pool != 2 {
+		t.Fatalf("ev = %+v", ev)
+	}
+	if err := l.ApplySettle(ev); err != nil {
+		t.Fatalf("settle record fails replay: %v", err)
+	}
+	if l.CarryOut(2) != 2 {
+		t.Fatalf("carry = %v, want 2", l.CarryOut(2))
+	}
+}
+
+func TestLedgerSettleSequentialDrainMatchesReplay(t *testing.T) {
+	// Adversarial floats: many irrational-ish deltas against a pool that
+	// cannot hold them all. Whatever Settle emits must replay with the
+	// identical sequential subtraction — no ulp disagreement, so the
+	// capped grant leaves exactly zero on both sides.
+	served := make([]RewardShare, 0, 101)
+	for i := 0; i < 101; i++ {
+		served = append(served, RewardShare{Name: string(rune('a'+i%26)) + string(rune('a'+i/26)), Amount: math.Sqrt(float64(i + 2))})
+	}
+	l := NewLedger()
+	ev, capped, ok := l.Settle(0.1, math.Pi*100, served)
+	if !ok || capped == 0 {
+		t.Fatalf("ok %v, capped %d: want a capped settle", ok, capped)
+	}
+	if err := l.ApplySettle(ev); err != nil {
+		t.Fatalf("settle record fails replay: %v", err)
+	}
+	if got := l.CarryOut(1); got != 0 {
+		t.Fatalf("replay carry %v, want exactly 0", got)
 	}
 }

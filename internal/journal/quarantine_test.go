@@ -113,19 +113,19 @@ func TestQuarantineRoundTripsThroughWriter(t *testing.T) {
 	}
 }
 
-func TestStateFromTreeInitializesQuarantine(t *testing.T) {
+func TestStateFromSnapshotInitializesQuarantine(t *testing.T) {
 	tr := tree.New()
 	if _, err := tr.Add(tree.Root, 1); err != nil {
 		t.Fatal(err)
 	}
-	st, err := StateFromTree(tr, 1)
+	st, err := StateFromSnapshot(Snapshot{LastSeq: 1, Tree: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Quarantined == nil {
-		t.Fatal("StateFromTree left Quarantined nil")
+		t.Fatal("StateFromSnapshot left Quarantined nil")
 	}
 	if _, err := Replay(st, []Event{{Seq: 2, Kind: KindQuarantine, Name: tr.Label(1)}}); err != nil {
-		t.Fatalf("Replay on StateFromTree base: %v", err)
+		t.Fatalf("Replay on StateFromSnapshot base: %v", err)
 	}
 }

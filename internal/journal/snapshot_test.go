@@ -1,4 +1,4 @@
-package server
+package journal
 
 import (
 	"bytes"
@@ -39,7 +39,7 @@ func snapTestSnapshot(t *testing.T) *Snapshot {
 // (the canonical-encoding property the fuzz target checks at scale).
 func TestSnapshotBinaryRoundTrip(t *testing.T) {
 	snap := snapTestSnapshot(t)
-	data, err := EncodeSnapshotBinary(snap)
+	data, err := EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 	if len(got.Quarantined) != 2 || got.Quarantined[0] != "bob" || got.Quarantined[1] != "dave" {
 		t.Fatalf("Quarantined = %v", got.Quarantined)
 	}
-	reenc, err := EncodeSnapshotBinary(got)
+	reenc, err := EncodeSnapshot(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDecodeSnapshotRejectsJSON(t *testing.T) {
 // (or a structural check it backstops) catches them all.
 func TestSnapshotBinaryRejectsCorruption(t *testing.T) {
 	snap := snapTestSnapshot(t)
-	data, err := EncodeSnapshotBinary(snap)
+	data, err := EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,16 +111,73 @@ func TestSnapshotBinaryRejectsCorruption(t *testing.T) {
 // TestSnapshotBinaryVersionGate: a bumped version byte must be refused,
 // not misparsed.
 func TestSnapshotBinaryVersionGate(t *testing.T) {
-	data, err := EncodeSnapshotBinary(snapTestSnapshot(t))
+	data, err := EncodeSnapshot(snapTestSnapshot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(snapshotMagic)] = snapshotVersion + 1
 	// Recompute the CRC so only the version differs.
 	data = data[:len(data)-4]
-	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, snapCastagnoli))
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
 	_, err = DecodeSnapshot(data)
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 	}
+}
+
+// FuzzSnapshotRoundTrip throws arbitrary bytes at DecodeSnapshot and
+// checks the binary snapshot codec's safety properties:
+//
+//  1. No input panics; corrupt input is rejected with an error, never
+//     decoded into a tree that fails validation.
+//  2. Decoding is canonical: any binary snapshot the decoder accepts
+//     re-encodes to exactly the input bytes.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	// Seed with real snapshots: labelled chain, star with quarantines,
+	// bare single node, and a chain with a settled epoch (version 2).
+	chain := tree.New()
+	p := tree.Root
+	for i, name := range []string{"alice", "bob", "carol"} {
+		id, _ := chain.Add(p, float64(i)+0.5)
+		chain.SetLabel(id, name)
+		p = id
+	}
+	star := tree.FromSpecs(tree.Star(2, 1, 1, 1))
+	for _, snap := range []*Snapshot{
+		{LastSeq: 3, Tree: chain},
+		{LastSeq: 9, Tree: star, Quarantined: []string{"2", "4"}},
+		{Tree: tree.New()},
+		{LastSeq: 5, Tree: chain, Epochs: []SettledEpoch{{
+			Epoch: 1, Pool: 2, CTotal: 4.5,
+			Rewards: []RewardShare{{Name: "alice", Amount: 0.5}, {Name: "carol", Amount: 1}},
+			Claimed: []string{"carol"},
+		}}},
+	} {
+		data, err := EncodeSnapshot(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// Magic with a garbage body.
+	f.Add(append([]byte("ITS1"), 0x01, 0xff, 0xff))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeSnapshot(data)
+		if err != nil {
+			return // rejected cleanly
+		}
+		if snap.Tree != nil {
+			if verr := snap.Tree.Validate(); verr != nil {
+				t.Fatalf("decoded snapshot holds an invalid tree: %v", verr)
+			}
+		}
+		reenc, err := EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatalf("accepted snapshot failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(data, reenc) {
+			t.Fatalf("decode∘encode not identity:\nin:  %x\nout: %x", data, reenc)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/geometric"
+	"incentivetree/internal/journal"
 	"incentivetree/internal/server"
 	"incentivetree/internal/tree"
 )
@@ -22,7 +23,7 @@ import (
 // new campaign: a fresh deployment restored from the snapshot.
 type adoptTarget struct{ mech core.Mechanism }
 
-func (a adoptTarget) Adopt(_ Meta, snap server.Snapshot) (Applier, error) {
+func (a adoptTarget) Adopt(_ Meta, snap journal.Snapshot) (Applier, error) {
 	s := server.New(a.mech)
 	return s, s.RestoreState(snap)
 }
@@ -35,7 +36,7 @@ type countingTarget struct {
 	adopted int
 }
 
-func (c *countingTarget) Adopt(meta Meta, snap server.Snapshot) (Applier, error) {
+func (c *countingTarget) Adopt(meta Meta, snap journal.Snapshot) (Applier, error) {
 	c.adopted++
 	return c.adoptTarget.Adopt(meta, snap)
 }
@@ -77,7 +78,7 @@ func TestBootstrapRefusesCorruptSnapshot(t *testing.T) {
 	}
 	tl := &tail{id: "bench"}
 	err = m.bootstrap(context.Background(), tl)
-	if !errors.Is(err, server.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "CRC") {
+	if !errors.Is(err, journal.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("bootstrap from a flipped body = %v, want a CRC refusal", err)
 	}
 	if target.adopted != 0 || tl.synced.Load() {
@@ -109,7 +110,7 @@ func bootstrapPrimary(tb testing.TB, mech core.Mechanism, n int) *httptest.Serve
 		}
 	}
 	primary := server.New(mech)
-	if err := primary.RestoreState(server.Snapshot{LastSeq: uint64(2 * n), Tree: t}); err != nil {
+	if err := primary.RestoreState(journal.Snapshot{LastSeq: uint64(2 * n), Tree: t}); err != nil {
 		tb.Fatal(err)
 	}
 	pub := NewPublisher(nil)

@@ -19,7 +19,6 @@ import (
 
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
-	"incentivetree/internal/server"
 )
 
 // Follower tunables (overridable via Options).
@@ -45,7 +44,7 @@ type Applier interface {
 // installs (or replaces) a campaign from a replicated snapshot, Drop
 // removes one that disappeared from the primary.
 type Target interface {
-	Adopt(meta Meta, snap server.Snapshot) (Applier, error)
+	Adopt(meta Meta, snap journal.Snapshot) (Applier, error)
 	Drop(id string) error
 }
 
@@ -371,7 +370,7 @@ func (m *Manager) bootstrap(ctx context.Context, t *tail) error {
 	if err != nil {
 		return fmt.Errorf("snapshot %s: read: %w", t.id, err)
 	}
-	snap, err := server.DecodeSnapshot(body) // its CRC covers the whole body
+	snap, err := journal.DecodeSnapshot(body) // its CRC covers the whole body
 	if err != nil {
 		return fmt.Errorf("snapshot %s: decode: %w", t.id, err)
 	}

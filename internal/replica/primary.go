@@ -14,7 +14,6 @@ import (
 
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
-	"incentivetree/internal/server"
 )
 
 // Streaming tunables for the journal endpoint.
@@ -37,7 +36,7 @@ type PrimaryCampaign struct {
 	// Meta is the campaign configuration shipped to followers.
 	Meta Meta
 	// Snapshot exports an atomic state snapshot (server.SnapshotState).
-	Snapshot func() server.Snapshot
+	Snapshot func() journal.Snapshot
 	// LastSeq returns the committed sequence number.
 	LastSeq func() uint64
 	// CheckpointedSeq returns the highest sequence covered by a durable
@@ -86,7 +85,7 @@ func NewPublisher(reg *obs.Registry) *Publisher {
 // HeaderMeta and the committed sequence in HeaderCommittedSeq.
 func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request, c PrimaryCampaign) {
 	snap := c.Snapshot()
-	body, err := server.EncodeSnapshotBinary(&snap)
+	body, err := journal.EncodeSnapshot(&snap)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return

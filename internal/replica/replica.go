@@ -9,7 +9,7 @@
 //
 //	GET /v1/campaigns/{id}/replica/snapshot
 //	    -> 200 application/octet-stream: the state in the binary
-//	       checkpoint codec (server.EncodeSnapshotBinary), whose CRC
+//	       checkpoint codec (journal.EncodeSnapshot), whose CRC
 //	       covers the whole body.
 //	       X-Itree-Meta: {"id":...,"mechanism":...,"params":{...}}
 //	       X-Itree-Committed-Seq: <committed>

@@ -2,6 +2,7 @@ package replica_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -143,4 +144,40 @@ func TestSettleReplicatesThroughFaults(t *testing.T) {
 	f2.waitApplied(store.DefaultID, p2.lastSeq(store.DefaultID))
 	requireIdenticalReads(t, p2.ts.URL, f2.ts.URL, store.DefaultID)
 	requireIdenticalLedger(t, p2.ts.URL, f2.ts.URL, store.DefaultID, "p0000")
+}
+
+// TestSettleReplicatesCampaignPhi: a campaign created with its own Φ
+// settles its pools at that Φ, and its follower serves the same
+// ledger bytes, budget_frac included: the accrual fraction is the
+// campaign's, carried in the replicated meta, not a process setting.
+func TestSettleReplicatesCampaignPhi(t *testing.T) {
+	p := startPrimary(t, t.TempDir())
+	defer p.stop()
+	resp, err := http.Post(p.ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"id":"lean","mechanism":"tdrm","phi":0.4,"fair":0.05}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create campaign with phi 0.4: HTTP %d", resp.StatusCode)
+	}
+	p.write("lean", 0, 6)
+	settleEpoch(t, p.ts.URL, "lean")
+	if code := claim(t, p.ts.URL, "lean", "p0001", 1); code != http.StatusOK {
+		t.Fatalf("claim: HTTP %d", code)
+	}
+
+	f := startFollower(t, p.ts.URL, 0)
+	f.waitApplied("lean", p.lastSeq("lean"))
+	requireIdenticalLedger(t, p.ts.URL, f.ts.URL, "lean", "p0001")
+	var epochs struct {
+		BudgetFrac float64 `json:"budget_frac"`
+	}
+	if err := json.Unmarshal(mustGet(t, f.ts.URL+"/v1/campaigns/lean/epochs"), &epochs); err != nil {
+		t.Fatal(err)
+	}
+	if epochs.BudgetFrac != 0.4 {
+		t.Fatalf("follower budget_frac = %v, want the campaign's Phi 0.4", epochs.BudgetFrac)
+	}
 }

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"incentivetree/internal/experiments"
+	"incentivetree/internal/journal"
 	"incentivetree/internal/treegen"
 )
 
@@ -32,9 +34,9 @@ var goldenTables = map[string][2]string{
 // rewards tie on the leaderboard) and quarantines one participant with
 // descendants. The pinned tables are thus ranked from that earlier
 // version's ranking.
-func goldenServer(t *testing.T, name string) *Server {
+func goldenServer(t *testing.T, name string, opts ...Option) *Server {
 	t.Helper()
-	s, sc := mixServer(t, name, treegen.ScenarioConfig{Honest: 300, EpsilonChains: 2, Stars: 2})
+	s, sc := mixServer(t, name, treegen.ScenarioConfig{Honest: 300, EpsilonChains: 2, Stars: 2}, opts...)
 	body(t, s, "/v1/leaderboard")
 	for i := 0; i < 4; i++ {
 		tie := fmt.Sprintf("tie-%d", i)
@@ -66,5 +68,44 @@ func TestGoldenServedTables(t *testing.T) {
 				t.Errorf("served tables changed:\n got  %q\n want %q", got, want)
 			}
 		})
+	}
+}
+
+// TestGoldenSnapshotBytes pins the SHA-256 of the binary snapshot and
+// of the journal that goldenServer's TDRM campaign leaves after a
+// second quarantine, two settled epochs and one claim: a change to
+// either hash changes the bytes a checkpoint or a journal holds.
+func TestGoldenSnapshotBytes(t *testing.T) {
+	var log bytes.Buffer
+	s := goldenServer(t, "tdrm", WithJournal(journal.NewWriter(&log, 1)))
+	if err := s.Quarantine("tie-3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Contribute("tie-0", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	se, _ := s.state.Ledger.Epoch(1)
+	if _, err := s.Claim(se.Rewards[0].Name, 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.SnapshotState()
+	data, err := journal.EncodeSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]string
+	for i, b := range [][]byte{data, log.Bytes()} {
+		sum := sha256.Sum256(b)
+		got[i] = hex.EncodeToString(sum[:])
+	}
+	want := [2]string{"56ede9034ee97c02384478a5f04971a90c3ab394d080b0f9ec16d6d0acdd5078", "71d1fe900a5526b71f66114ca38bac109870b47908d54dc149ff9c0e975db48b"}
+	if got != want {
+		t.Errorf("snapshot or journal bytes changed:\n got  %q\n want %q", got, want)
 	}
 }

@@ -304,7 +304,7 @@ func TestRewardsSnapshotIsACopy(t *testing.T) {
 
 // randomSnapshot grows a labelled, contribution-bearing tree the way a
 // workload would.
-func randomSnapshot(t *testing.T, seed int64, n int) Snapshot {
+func randomSnapshot(t *testing.T, seed int64, n int) journal.Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr := tree.New()
@@ -317,7 +317,7 @@ func randomSnapshot(t *testing.T, seed int64, n int) Snapshot {
 			t.Fatal(err)
 		}
 	}
-	return Snapshot{LastSeq: uint64(2 * n), Tree: tr}
+	return journal.Snapshot{LastSeq: uint64(2 * n), Tree: tr}
 }
 
 // TestForTreeMatchesFullEvaluation is the recovery path: aggregates
@@ -349,7 +349,7 @@ func TestForTreeMatchesFullEvaluation(t *testing.T) {
 
 func TestForTreeEmptyTree(t *testing.T) {
 	s := New(suiteMechanism(t, "geometric"))
-	if err := s.RestoreState(Snapshot{Tree: tree.New()}); err != nil {
+	if err := s.RestoreState(journal.Snapshot{Tree: tree.New()}); err != nil {
 		t.Fatal(err)
 	}
 	// Rewards are indexed by NodeID, so even an empty tree has the root

@@ -29,7 +29,6 @@ import (
 func WithMetricsLabels(reg *obs.Registry, labels ...string) Option {
 	return func(s *Server) {
 		s.metrics = reg
-		s.labels = labels
 		s.registerGauges(reg, labels...)
 	}
 }

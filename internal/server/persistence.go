@@ -8,7 +8,6 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
-	"incentivetree/internal/tree"
 )
 
 // Option configures a Server.
@@ -21,25 +20,12 @@ func WithJournal(jw *journal.Writer) Option {
 	return func(s *Server) { s.journal = jw }
 }
 
-// Snapshot is the wire format of a full state export.
-type Snapshot struct {
-	// LastSeq is the journal sequence number the snapshot includes
-	// (0 when no journal is attached).
-	LastSeq uint64 `json:"last_seq"`
-	// Tree is the full referral tree with labels and contributions.
-	Tree *tree.Tree `json:"tree"`
-	// Quarantined lists the payout-quarantine flags in force, sorted by
-	// name. Absent in pre-quarantine snapshots, which decode as none.
-	Quarantined []string `json:"quarantined,omitempty"`
-	// Epochs holds the settled payout epochs, oldest first. Absent in
-	// pre-settlement snapshots, which decode as an empty ledger — and
-	// absent when the ledger is empty, so those snapshots' bytes stay
-	// identical to older releases.
-	Epochs []journal.SettledEpoch `json:"epochs,omitempty"`
-}
+// DecodeSnapshot forwards to journal.DecodeSnapshot; itreebench
+// (layers.go) imports it from here.
+func DecodeSnapshot(data []byte) (*journal.Snapshot, error) { return journal.DecodeSnapshot(data) }
 
 // SnapshotState exports the current deployment state.
-func (s *Server) SnapshotState() Snapshot {
+func (s *Server) SnapshotState() journal.Snapshot {
 	return s.SnapshotAt(nil)
 }
 
@@ -50,10 +36,10 @@ func (s *Server) SnapshotState() Snapshot {
 // the store's checkpointer builds on: snapshot at seq k, remember the
 // journal offset holding events 1..k, later drop that prefix once the
 // snapshot is durable.
-func (s *Server) SnapshotAt(fn func()) Snapshot {
+func (s *Server) SnapshotAt(fn func()) journal.Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := Snapshot{LastSeq: s.state.LastSeq, Tree: s.state.Tree.Clone(), Quarantined: s.quarantinedNamesLocked(), Epochs: s.state.Ledger.Snapshot()}
+	snap := s.state.Snapshot()
 	if fn != nil {
 		fn()
 	}
@@ -80,55 +66,19 @@ func (s *Server) Summary() (participants int, total float64, lastSeq uint64) {
 var ErrRestoreJournaled = errors.New("server: a journaled campaign cannot be restored while it runs; " +
 	"stop the daemon, `itree convert` the snapshot into the campaign's snapshot.bin, and empty its journal.log")
 
-// RestoreState replaces the deployment state with the snapshot. The
-// snapshot's participant names must be unique (they are the API keys).
-// A server with a journal refuses with ErrRestoreJournaled.
-func (s *Server) RestoreState(snap Snapshot) error {
+// RestoreState replaces the deployment state with the snapshot (see
+// journal.StateFromSnapshot for what it must satisfy). A server with a
+// journal refuses with ErrRestoreJournaled.
+func (s *Server) RestoreState(snap journal.Snapshot) error {
 	if s.journal != nil {
 		return ErrRestoreJournaled
 	}
-	st, err := stateFromSnapshot(snap)
+	st, err := journal.StateFromSnapshot(snap)
 	if err != nil {
 		return err
 	}
 	s.adoptState(st)
 	return nil
-}
-
-// stateFromSnapshot validates a snapshot and converts it to replay
-// state, including its quarantine flags.
-func stateFromSnapshot(snap Snapshot) (*journal.State, error) {
-	if snap.Tree == nil {
-		return nil, fmt.Errorf("server: snapshot without tree")
-	}
-	if err := snap.Tree.Validate(); err != nil {
-		return nil, fmt.Errorf("server: snapshot invalid: %w", err)
-	}
-	st, err := journal.StateFromTree(snap.Tree, snap.LastSeq)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	for _, name := range snap.Quarantined {
-		if _, ok := st.ByName[name]; !ok {
-			return nil, fmt.Errorf("server: snapshot quarantines unknown participant %q", name)
-		}
-		st.Quarantined[name] = true
-	}
-	if len(snap.Epochs) > 0 {
-		for _, se := range snap.Epochs {
-			for _, r := range se.Rewards {
-				if _, ok := st.ByName[r.Name]; !ok {
-					return nil, fmt.Errorf("server: snapshot epoch %d settles unknown participant %q", se.Epoch, r.Name)
-				}
-			}
-		}
-		ledger, err := journal.LedgerFromEpochs(snap.Epochs)
-		if err != nil {
-			return nil, fmt.Errorf("server: snapshot ledger: %w", err)
-		}
-		st.Ledger = ledger
-	}
-	return st, nil
 }
 
 // adoptState installs a replayed state, folding the reward aggregates
@@ -149,17 +99,14 @@ func (s *Server) adoptState(st *journal.State) {
 // ApplyReplicated applies a batch of journal events replicated from a
 // primary through the same journal.State.Apply as every other write,
 // then publishes it like a commit, so a follower reaches the primary's
-// bytes. Each event must carry the next seq. The batch applies all or
-// nothing: on an error the events already applied are undone.
+// bytes. Apply refuses an event that does not carry the next seq. The
+// batch applies all or nothing: on an error the events already applied
+// are undone.
 func (s *Server) ApplyReplicated(events []journal.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	undos := make([]journal.Undo, 0, len(events))
 	for _, e := range events {
-		if e.Seq != s.state.LastSeq+1 {
-			s.undoLocked(undos)
-			return fmt.Errorf("server: replicated event at seq %d, state is at %d", e.Seq, s.state.LastSeq)
-		}
 		u, err := s.state.Apply(e)
 		if err != nil {
 			s.undoLocked(undos)
@@ -172,11 +119,12 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 }
 
 // Recover rebuilds a server from a snapshot plus the journal events
-// recorded after it. Either part may be empty.
-func Recover(s *Server, snap *Snapshot, events []journal.Event) error {
+// recorded after it. Either part may be empty. Events the snapshot
+// covers are skipped; the rest must continue its seq without a gap.
+func Recover(s *Server, snap *journal.Snapshot, events []journal.Event) error {
 	base := (*journal.State)(nil)
 	if snap != nil {
-		st, err := stateFromSnapshot(*snap)
+		st, err := journal.StateFromSnapshot(*snap)
 		if err != nil {
 			return err
 		}
@@ -206,7 +154,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var snap Snapshot
+	var snap journal.Snapshot
 	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"malformed snapshot: " + err.Error()})
 		return

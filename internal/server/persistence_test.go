@@ -73,7 +73,7 @@ func TestSnapshotIsIsolatedCopy(t *testing.T) {
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	s := New(mech(t))
-	if err := s.RestoreState(Snapshot{}); err == nil {
+	if err := s.RestoreState(journal.Snapshot{}); err == nil {
 		t.Fatal("nil tree should be rejected")
 	}
 	// Duplicate names.
@@ -158,6 +158,46 @@ func TestRecoverFromSnapshotPlusSuffix(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesSeqGap: a suffix that skips a seq after the
+// snapshot is refused and adopts nothing, even when every event in it
+// would apply on its own.
+func TestRecoverRefusesSeqGap(t *testing.T) {
+	var wal bytes.Buffer
+	s := New(mech(t), WithJournal(journal.NewWriter(&wal, 1)))
+	if err := s.Join("ada", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Contribute("ada", 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.SnapshotState() // covers seq 1-2
+	if err := s.Join("bo", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Contribute("ada", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Join("cy", "ada"); err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.Read(&wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffix := events[3:] // seq 4 and 5; seq 3 is lost
+	if suffix[0].Seq != 4 {
+		t.Fatalf("suffix starts at seq %d, want 4", suffix[0].Seq)
+	}
+	fresh := New(mech(t))
+	err = Recover(fresh, &snap, suffix)
+	if err == nil || !strings.Contains(err.Error(), "missing events") {
+		t.Fatalf("Recover over a seq gap: err = %v, want missing events", err)
+	}
+	if got := fresh.LastSeq(); got != 0 {
+		t.Fatalf("a refused recovery left LastSeq %d, want 0", got)
+	}
+}
+
 func TestSnapshotAndRestoreEndpoints(t *testing.T) {
 	s, ts := newTestServer(t)
 	if err := s.Join("ada", ""); err != nil {
@@ -166,7 +206,7 @@ func TestSnapshotAndRestoreEndpoints(t *testing.T) {
 	if err := s.Contribute("ada", 4); err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
+	var snap journal.Snapshot
 	getJSON(t, ts.URL+"/v1/snapshot", &snap)
 	if snap.Tree == nil || snap.Tree.Total() != 4 {
 		t.Fatalf("snapshot = %+v", snap)

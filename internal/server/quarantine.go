@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-
 	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
@@ -39,19 +37,7 @@ func (s *Server) Unquarantine(name string) error {
 func (s *Server) QuarantinedNames() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.quarantinedNamesLocked()
-}
-
-func (s *Server) quarantinedNamesLocked() []string {
-	if len(s.state.Quarantined) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(s.state.Quarantined))
-	for n := range s.state.Quarantined {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return s.state.QuarantinedNames()
 }
 
 // QuarantineCount reports how many quarantine flags are set.
@@ -131,5 +117,5 @@ func (s *Server) Mechanism() core.Mechanism { return s.mech }
 func (s *Server) AuditSnapshot() (*tree.Tree, []string, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.state.Tree.Clone(), s.quarantinedNamesLocked(), s.version
+	return s.state.Tree.Clone(), s.state.QuarantinedNames(), s.version
 }

@@ -218,11 +218,11 @@ func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot.Quarantined = %v, want [b]", snap.Quarantined)
 	}
 	// Binary round trip, as the checkpointer stores it.
-	data, err := EncodeSnapshotBinary(&snap)
+	data, err := journal.EncodeSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(data)
+	decoded, err := journal.DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}

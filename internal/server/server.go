@@ -64,7 +64,6 @@ type Server struct {
 	local   core.Local // mech.Local(), never nil
 	journal *journal.Writer
 	metrics *obs.Registry // nil = uninstrumented
-	labels  []string      // metric labels from WithMetricsLabels
 
 	// The write queue (see batch.go). queueMu guards queue and draining
 	// and is never held while taking mu; draining is set while a drain
@@ -96,9 +95,6 @@ type Server struct {
 	// auditor, when set, backs the audit report/scan endpoints (see
 	// audit_http.go and SetAuditor).
 	auditor *audit.Auditor
-	// epochBudget, when non-zero, overrides the mechanism's Phi as the
-	// pool accrual fraction (WithEpochBudget).
-	epochBudget float64
 	// settleObs, when metrics are attached, counts settle/claim
 	// operations (see settle_http.go).
 	settleObs *settleCounters

@@ -9,7 +9,6 @@ import (
 
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
-	"incentivetree/internal/settle"
 )
 
 // Epoch settlement and the claims ledger. Settle freezes the current
@@ -38,14 +37,6 @@ var (
 	ErrAlreadyClaimed = errors.New("already claimed")
 )
 
-// WithEpochBudget overrides the epoch pool accrual fraction. The
-// default (0) accrues the mechanism's own Phi per unit of
-// contribution; operators use -epoch-budget to reserve a different
-// share for payout.
-func WithEpochBudget(frac float64) Option {
-	return func(s *Server) { s.epochBudget = frac }
-}
-
 // settleCounters aggregates the settle/claim op counters registered
 // when metrics are attached.
 type settleCounters struct {
@@ -62,14 +53,6 @@ func newSettleCounters(reg *obs.Registry, labels ...string) *settleCounters {
 		claims:         reg.Counter("itree_claims_commits_total", "Claim records committed.", labels...),
 		claimConflicts: reg.Counter("itree_claims_conflicts_total", "Claims rejected as duplicates (409).", labels...),
 	}
-}
-
-// budgetFracLocked is the pool accrual fraction in force.
-func (s *Server) budgetFracLocked() float64 {
-	if s.epochBudget != 0 {
-		return s.epochBudget
-	}
-	return s.mech.Params().Phi
 }
 
 // EpochSummary is the wire accounting view of one settled epoch.
@@ -147,44 +130,34 @@ func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
 	}
 }
 
-// Settle freezes the next epoch: it accrues the pool (budget fraction
-// times the contribution growth since the last settle, plus carry),
-// grants each participant the growth of their served reward beyond
-// what prior epochs settled to them — capped so the epoch never
-// overdraws its pool — and journals the result atomically as one
-// settle record. Quarantined subtrees are served as zero and therefore
-// excluded; their deltas settle after an unquarantine. Returns
-// ErrNothingToSettle (409) when no pool accrual and no grant would
-// result.
+// Settle freezes the next epoch from the served reward table
+// (journal.Ledger.Settle: the pool accrues the mechanism's Phi per unit
+// of contribution growth, plus carry, and no epoch overdraws it) and
+// journals it atomically as one settle record. Quarantined subtrees are
+// served as zero and therefore excluded; their deltas settle after an
+// unquarantine. Returns ErrNothingToSettle (409) when no pool accrual
+// and no grant would result.
 func (s *Server) Settle() (EpochSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rewards, _ := s.servedRewardsLocked()
 	nodes := s.state.Tree.Nodes()
-	entries := make([]settle.Entry, 0, len(nodes))
+	served := make([]journal.RewardShare, 0, len(nodes))
 	for _, u := range nodes {
-		entries = append(entries, settle.Entry{Name: s.state.Tree.Label(u), Reward: rewards.Of(u)})
+		served = append(served, journal.RewardShare{Name: s.state.Tree.Label(u), Amount: rewards.Of(u)})
 	}
-	cPrev, carry := s.state.Ledger.AccrualBasis()
-	in := settle.Input{
-		Epoch:      s.state.Ledger.NextEpoch(),
-		BudgetFrac: s.budgetFracLocked(),
-		CNow:       s.state.Tree.Total(),
-		CPrev:      cPrev,
-		Carry:      carry,
-	}
-	ev, stats, ok := settle.Compute(in, entries, s.state.Ledger.SettledOf)
+	ev, capped, ok := s.state.Ledger.Settle(s.mech.Params().Phi, s.state.Tree.Total(), served)
 	if !ok {
 		return EpochSummary{}, ErrNothingToSettle
 	}
-	// Compute satisfies the ledger invariants by construction, so an
-	// error here is a failed append (503) or a bug (500).
+	// Ledger.Settle satisfies the ledger invariants by construction, so
+	// an error here is a failed append (503) or a bug (500).
 	if err := s.commitLocked([]journal.Event{ev})[0]; err != nil {
 		return EpochSummary{}, err
 	}
 	if s.settleObs != nil {
 		s.settleObs.settles.Inc()
-		s.settleObs.capped.Add(uint64(stats.Capped))
+		s.settleObs.capped.Add(uint64(capped))
 	}
 	return s.epochSummaryLocked(ev.Epoch), nil
 }
@@ -245,7 +218,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, _ *http.Request) {
 	n := s.state.Ledger.Epochs()
 	resp := epochsResponse{
 		NextEpoch:  s.state.Ledger.NextEpoch(),
-		BudgetFrac: s.budgetFracLocked(),
+		BudgetFrac: s.mech.Params().Phi,
 	}
 	resp.CSettled, resp.Carry = s.state.Ledger.AccrualBasis()
 	for i := uint64(1); i <= uint64(n); i++ {

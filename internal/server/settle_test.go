@@ -327,18 +327,18 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot epochs = %+v", snap.Epochs)
 	}
 
-	bin, err := EncodeSnapshotBinary(&snap)
+	bin, err := journal.EncodeSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bin[4] != snapshotVersionLedger {
-		t.Fatalf("version byte = %d, want %d", bin[4], snapshotVersionLedger)
+	if bin[4] != 2 {
+		t.Fatalf("version byte = %d, want 2", bin[4])
 	}
-	dec, err := DecodeSnapshot(bin)
+	dec, err := journal.DecodeSnapshot(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := EncodeSnapshotBinary(dec)
+	re, err := journal.EncodeSnapshot(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jdec Snapshot
+	var jdec journal.Snapshot
 	if err := json.Unmarshal(jsonData, &jdec); err != nil {
 		t.Fatal(err)
 	}
@@ -368,12 +368,12 @@ func TestSettleSnapshotCodecRoundTrip(t *testing.T) {
 	// A server without settled epochs still writes version-1 bytes.
 	s2, _ := newSettleFixture(t)
 	empty := s2.SnapshotState()
-	bin2, err := EncodeSnapshotBinary(&empty)
+	bin2, err := journal.EncodeSnapshot(&empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bin2[4] != snapshotVersion {
-		t.Fatalf("empty-ledger snapshot version = %d, want %d", bin2[4], snapshotVersion)
+	if bin2[4] != 1 {
+		t.Fatalf("empty-ledger snapshot version = %d, want 1", bin2[4])
 	}
 
 	// A corrupt snapshot whose shares overdraw the pool is rejected on

@@ -138,7 +138,7 @@ func (st *Store) CheckpointAll() error {
 }
 
 // snapFile is a campaign's checkpoint snapshot, in the binary snapshot
-// format (see server.EncodeSnapshotBinary).
+// format (see journal.EncodeSnapshot).
 const snapFile = "snapshot.bin"
 
 // Checkpoint atomically snapshots one campaign and compacts its
@@ -193,8 +193,8 @@ func (st *Store) Checkpoint(c *Campaign) (reclaimed int64, err error) {
 }
 
 // writeSnapshot durably writes the campaign's checkpoint snapshot.
-func writeSnapshot(dir string, snap *server.Snapshot) error {
-	data, err := server.EncodeSnapshotBinary(snap)
+func writeSnapshot(dir string, snap *journal.Snapshot) error {
+	data, err := journal.EncodeSnapshot(snap)
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
@@ -257,29 +257,16 @@ func (st *Store) recoverCampaign(id string) error {
 	if err != nil {
 		return fmt.Errorf("store: recover %s: %w", id, err)
 	}
-	// The journal may still contain events the snapshot covers (crash
-	// between snapshot rename and compaction); server.Recover filters
-	// them by sequence number. What it cannot detect is a *gap* between
-	// snapshot and suffix, so check that here.
-	lastSeq := uint64(0)
-	if snap != nil {
-		lastSeq = snap.LastSeq
-	}
-	for _, e := range events {
-		if e.Seq > lastSeq {
-			if e.Seq != lastSeq+1 {
-				return fmt.Errorf("store: recover %s: journal starts at seq %d but snapshot covers %d — missing events", id, e.Seq, lastSeq)
-			}
-			break
-		}
-	}
-	if n := len(events); n > 0 && events[n-1].Seq > lastSeq {
-		lastSeq = events[n-1].Seq
-	}
-
-	c := &Campaign{Meta: meta, dir: dir, checkpointedSeq: 0}
+	c := &Campaign{Meta: meta, dir: dir}
 	if snap != nil {
 		c.checkpointedSeq = snap.LastSeq
+	}
+	// The journal may still contain events the snapshot covers (crash
+	// between snapshot rename and compaction); server.Recover skips
+	// them, and journal.State.Apply refuses a gap after the snapshot.
+	lastSeq := c.checkpointedSeq
+	if n := len(events); n > 0 && events[n-1].Seq > lastSeq {
+		lastSeq = events[n-1].Seq
 	}
 	fw, err := journal.OpenFile(filepath.Join(dir, journalFile), st.cfg.Sync, st.cfg.SyncInterval)
 	if err != nil {
@@ -305,7 +292,7 @@ func (st *Store) recoverCampaign(id string) error {
 // that checkpointed in JSON is refused rather than ignored: the journal
 // beside it was compacted against it, so recovering without it would
 // silently lose every event it covers.
-func readSnapshot(dir string) (*server.Snapshot, error) {
+func readSnapshot(dir string) (*journal.Snapshot, error) {
 	old := filepath.Join(dir, "snapshot.json")
 	switch _, err := os.Lstat(old); {
 	case err == nil:
@@ -322,7 +309,7 @@ func readSnapshot(dir string) (*server.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := server.DecodeSnapshot(data)
+	snap, err := journal.DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", path, err)
 	}

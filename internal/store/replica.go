@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"path/filepath"
 
+	"incentivetree/internal/journal"
 	"incentivetree/internal/replica"
 	"incentivetree/internal/server"
 )
@@ -65,7 +66,7 @@ func (st *Store) handleReplicaJournal(w http.ResponseWriter, r *http.Request) {
 // reach a follower (the replica middleware redirects them). The
 // follower's reward aggregates fold the same tree the same way, so its
 // reward bytes are identical to the primary's.
-func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier, error) {
+func (st *Store) Adopt(meta replica.Meta, snap journal.Snapshot) (replica.Applier, error) {
 	if !st.cfg.Follower {
 		return nil, errors.New("store: Adopt requires a follower-mode store")
 	}
@@ -94,11 +95,6 @@ func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier
 	var opts []server.Option
 	if st.cfg.Metrics != nil {
 		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", meta.ID))
-	}
-	if st.cfg.EpochBudget != 0 {
-		// Followers never settle locally, but /v1/epochs reports the
-		// accrual fraction; match the primary's override when configured.
-		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))
 	}
 	c.srv = server.New(mech, opts...)
 	c.handler = c.srv.Handler()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
 )
 
@@ -187,12 +188,12 @@ func TestClaimReplayIdempotentAfterCrash(t *testing.T) {
 
 // TestEpochTickerSettles runs the store's Run loop with a fast
 // EpochInterval and waits for it to settle an epoch on its own, with
-// the pool accrued at the configured EpochBudget override.
+// the pool accrued at the campaign's Phi.
 func TestEpochTickerSettles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
 	cfg.EpochInterval = 5 * time.Millisecond
-	cfg.EpochBudget = 0.25
+	cfg.DefaultParams = core.Params{Phi: 0.25, FairShare: 0.02}
 	st := openStore(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -219,7 +220,7 @@ func TestEpochTickerSettles(t *testing.T) {
 		}
 		if len(resp.Epochs) >= 1 {
 			if resp.BudgetFrac != 0.25 {
-				t.Fatalf("budget_frac = %v, want the 0.25 override", resp.BudgetFrac)
+				t.Fatalf("budget_frac = %v, want the campaign's Phi 0.25", resp.BudgetFrac)
 			}
 			if resp.Epochs[0].Pool != 1 {
 				t.Fatalf("epoch 1 pool = %v, want 0.25*4", resp.Epochs[0].Pool)

@@ -106,16 +106,13 @@ type Config struct {
 	AuditQuarantine bool
 	// EpochInterval enables periodic epoch settlement: every period the
 	// store's Run loop settles each campaign's next payout epoch (see
-	// internal/settle), freezing the served reward table into a journal
-	// settle record. Zero or negative disables the ticker (settlement
-	// stays an operator action via POST .../epochs/settle); followers
-	// never settle — the primary's settle records replicate like any
-	// other write.
+	// journal.Ledger.Settle), freezing the served reward table into a
+	// journal settle record; the pool accrues at the campaign's own Phi.
+	// Zero or negative disables the ticker (settlement stays an
+	// operator action via POST .../epochs/settle); followers never
+	// settle — the primary's settle records replicate like any other
+	// write.
 	EpochInterval time.Duration
-	// EpochBudget overrides the epoch pool accrual fraction (budget
-	// reserved per unit of new contribution). Zero means each campaign
-	// accrues at its mechanism's own Phi.
-	EpochBudget float64
 	// Metrics, when set, receives the store's gauges/counters and every
 	// campaign's per-campaign domain gauges (labelled campaign="<id>").
 	Metrics *obs.Registry
@@ -435,9 +432,6 @@ func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	}
 	if st.cfg.Metrics != nil {
 		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", c.Meta.ID))
-	}
-	if st.cfg.EpochBudget != 0 {
-		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))
 	}
 	return append(opts, server.WithGroupCommit(st.cfg.BatchMax, st.cfg.QueueDepth))
 }

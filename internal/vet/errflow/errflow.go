@@ -109,8 +109,6 @@ func trackedCall(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
 		return fn, "journal.State.Apply"
 	case pkg == "journal" && typ == "Ledger" && strings.HasPrefix(name, "Apply"):
 		return fn, "journal.Ledger." + name
-	case pkg == "settle" && strings.HasPrefix(name, "Apply"):
-		return fn, "settle." + name
 	case pkg == "os" && typ == "File" && name == "Sync":
 		return fn, "File.Sync"
 	}

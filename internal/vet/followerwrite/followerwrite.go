@@ -170,8 +170,6 @@ func bannedTarget(fn *types.Func) string {
 		return "journal append"
 	case pkg == "journal" && typ == "Ledger" && strings.HasPrefix(name, "Apply"):
 		return "ledger mutation"
-	case (pkg == "settle") && strings.HasPrefix(name, "Apply"):
-		return "settlement mutation"
 	case pkg == "tree" && typ == "Tree" && treeMutators[name]:
 		return "tree mutation"
 	}

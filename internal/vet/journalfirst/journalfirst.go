@@ -42,7 +42,7 @@ func New() *vet.Analyzer {
 
 // scopedPackages are the package names the invariant applies to (the
 // serving write path).
-var scopedPackages = map[string]bool{"server": true, "store": true, "replica": true, "audit": true, "settle": true}
+var scopedPackages = map[string]bool{"server": true, "store": true, "replica": true, "audit": true}
 
 // mutatorName matches method names that (by this repo's conventions)
 // mutate state.

@@ -4,9 +4,10 @@
 # itreed over an organically grown honest population: first with the
 # auditor off, then with it scanning aggressively (250ms interval,
 # auto-quarantine armed) throughout the measured window. The two points
-# are recorded as BENCH_<n>.json (benchjson schema) and the run fails
-# if the auditor costs more than MAX_OVERHEAD_PCT (default 5) percent
-# of contribute throughput.
+# are recorded as BENCH_<n>.json, in the go-bench schema of
+# BENCH_0.json-BENCH_5.json, and the run fails if the auditor costs
+# more than MAX_OVERHEAD_PCT (default 5) percent of contribute
+# throughput.
 #
 #   OUT=BENCH_4.json sh scripts/auditbench.sh
 #

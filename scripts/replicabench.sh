@@ -4,8 +4,9 @@
 # the primary while a closed-loop read-only itreeload measures
 # leaderboard throughput twice: first against the single node serving
 # both roles, then fanned out across two followers replicating from
-# the same primary. The two points are recorded as BENCH_<n>.json
-# (benchjson schema) so the trajectory is comparable across commits.
+# the same primary. The two points are recorded as BENCH_<n>.json in
+# the go-bench schema of BENCH_0.json-BENCH_5.json (name, ns/op, B/op,
+# allocs/op per point) so the trajectory is comparable across commits.
 #
 #   OUT=BENCH_3.json sh scripts/replicabench.sh
 #
@@ -94,7 +95,7 @@ wait_converged "http://$PADDR" "http://$F1"
 wait_converged "http://$PADDR" "http://$F2"
 FAN=$(measure_reads "http://$PADDR" "http://$F1,http://$F2")
 
-# Emit the two points in the benchjson File schema: ns/op is the
+# Emit the two points in that go-bench schema: ns/op is the
 # steady-state inter-completion time (1e9 / reads-per-second), so lower
 # is better and ratios line up with the rest of the BENCH trajectory.
 if [ -z "$OUT" ]; then
