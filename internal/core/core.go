@@ -103,11 +103,15 @@ type Local interface {
 	// Term returns what child k adds to its parent's aggregate. It reads
 	// agg only at k.
 	Term(t *tree.Tree, agg []float64, k tree.NodeID) float64
-	// Reward returns R(u) for a participant u. It reads agg only at u
-	// and u's children; total is C(T) as t.Total sums it, and is read
-	// only when UsesTotal reports true.
+	// Reward returns R(u) for a participant u. It reads t and agg only
+	// at u and u's children. This subtree locality is what lets a
+	// server re-rank only the ids it re-folded: a write at v changes
+	// the tree and the aggregates only on v's root path, so only the
+	// rewards there move. Reading total, C(T) as t.Total sums it, is
+	// the one exception allowed, and UsesTotal declares it.
 	Reward(t *tree.Tree, agg []float64, u tree.NodeID, total float64) float64
-	// UsesTotal reports whether Reward reads total.
+	// UsesTotal reports whether Reward reads total. When it does, every
+	// contribution moves every reward.
 	UsesTotal() bool
 }
 

@@ -17,6 +17,7 @@ import (
 	"incentivetree/internal/journal"
 	"incentivetree/internal/numeric"
 	"incentivetree/internal/tree"
+	"incentivetree/internal/treegen"
 )
 
 // suiteMechanism returns the served mechanism with selector key name.
@@ -299,6 +300,32 @@ func TestRewardsSnapshotIsACopy(t *testing.T) {
 	table[1] = 999
 	if p, _ := s.participant("u"); p.Reward == 999 {
 		t.Fatal("reward table aliases the maintained aggregates")
+	}
+}
+
+// TestRewardTotalMatchesEvaluation: R(T) as /v1/stats and the
+// itree_reward_total gauge read it, summed without building the table,
+// equals the total of the mechanism's full evaluation bit for bit.
+func TestRewardTotalMatchesEvaluation(t *testing.T) {
+	for _, name := range experiments.MechanismNames() {
+		t.Run(name, func(t *testing.T) {
+			s, _ := mixServer(t, name, treegen.ScenarioConfig{Honest: 300})
+			r, err := s.Mechanism().Rewards(s.SnapshotState().Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := math.Float64bits(r.Total())
+			if got, _ := s.rewardTotals(); math.Float64bits(got) != want {
+				t.Fatalf("rewardTotals = %v, full evaluation sums to %v", got, r.Total())
+			}
+			var stats statsResponse
+			if err := json.Unmarshal(body(t, s, "/v1/stats"), &stats); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(stats.TotalReward) != want {
+				t.Fatalf("/v1/stats total_reward = %v, full evaluation sums to %v", stats.TotalReward, r.Total())
+			}
+		})
 	}
 }
 

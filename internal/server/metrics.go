@@ -136,7 +136,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.viewHits = reg.Counter("itree_rewards_cache_hits_total",
 		"Reward-table reads served from the versioned cache.", labels...)
 	s.viewMisses = reg.Counter("itree_rewards_cache_misses_total",
-		"Reward-table cache rebuilds (one pass over the reward aggregates and a re-sort of the previous version's ranking each).", labels...)
+		"Reward-table cache rebuilds. Each recomputes the rewards the commits since the previous build moved and re-ranks those ids; after a quarantine flip, or under a mechanism whose rewards read C(T), it recomputes and re-sorts every participant.", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
 	reg.GaugeFunc("itree_ingest_queue_depth",
 		"Writes waiting for a group commit.", func() float64 {
@@ -157,7 +157,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 func (s *Server) rewardTotals() (total, utilization float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	total = s.rewardsLocked().Total()
+	total = s.rewardTotalLocked()
 	if budget := s.mech.Params().Phi * s.state.Tree.Total(); budget > 0 {
 		utilization = total / budget
 	}

@@ -82,7 +82,8 @@ func (s *Server) RestoreState(snap journal.Snapshot) error {
 }
 
 // adoptState installs a replayed state, folding the reward aggregates
-// of the new tree in one O(n) pass.
+// of the new tree in one O(n) pass. It drops the read view: a restore
+// renumbers ids, so the next read ranks every participant afresh.
 func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -91,6 +92,7 @@ func (s *Server) adoptState(st *journal.State) {
 	if s.local.UsesTotal() {
 		s.total = st.Tree.Total()
 	}
+	s.view.Store(nil)
 	// LastSeq may move backwards on a restore, but the view version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
@@ -48,6 +50,10 @@ func mixServer(tb testing.TB, mechanism string, cfg treegen.ScenarioConfig, opts
 // repeat read reuses it. Each write is one contribute to a seeded
 // honest participant, committed outside the timer: under TDRM it moves
 // ~5 ids' rewards, under L-Pachira, whose rewards read C(T), most ids'.
+// An after-N-writes case commits N contributes as one batch before each
+// read: 64 move ~220 ids, 512 ~1,200 (re-placed one by one) and 2048
+// ~3,300 (past an eighth of the participants, so re-sorted in full).
+// The stats case sums R(T) per read.
 func BenchmarkReadViews(b *testing.B) {
 	type population struct {
 		s     *Server
@@ -56,13 +62,17 @@ func BenchmarkReadViews(b *testing.B) {
 	built := make(map[string]population)
 	for _, bc := range []struct {
 		name, mechanism, path string
-		write                 bool
+		writes                int
 	}{
-		{"leaderboard-miss", "tdrm", "/v1/leaderboard?k=10", true},
-		{"leaderboard-hit", "tdrm", "/v1/leaderboard?k=10", false},
-		{"rewards-after-write", "tdrm", "/v1/rewards", true},
-		{"rewards-repeat", "tdrm", "/v1/rewards", false},
-		{"leaderboard-miss-l-pachira", "l-pachira", "/v1/leaderboard?k=10", true},
+		{"leaderboard-miss", "tdrm", "/v1/leaderboard?k=10", 1},
+		{"leaderboard-hit", "tdrm", "/v1/leaderboard?k=10", 0},
+		{"rewards-after-write", "tdrm", "/v1/rewards", 1},
+		{"rewards-repeat", "tdrm", "/v1/rewards", 0},
+		{"leaderboard-miss-l-pachira", "l-pachira", "/v1/leaderboard?k=10", 1},
+		{"leaderboard-miss-after-64-writes", "tdrm", "/v1/leaderboard?k=10", 64},
+		{"leaderboard-miss-after-512-writes", "tdrm", "/v1/leaderboard?k=10", 512},
+		{"leaderboard-miss-after-2048-writes", "tdrm", "/v1/leaderboard?k=10", 2048},
+		{"stats", "tdrm", "/v1/stats", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, ok := built[bc.mechanism]
@@ -77,16 +87,175 @@ func BenchmarkReadViews(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if bc.write {
+				if bc.writes > 0 {
 					b.StopTimer()
-					if err := s.Contribute(p.names[rng.Intn(len(p.names))], 0.5+4*rng.Float64()); err != nil {
-						b.Fatal(err)
+					events := make([]journal.Event, bc.writes)
+					for j := range events {
+						events[j] = journal.Event{Kind: journal.KindContribute, Name: p.names[rng.Intn(len(p.names))], Amount: 0.5 + 4*rng.Float64()}
+					}
+					for _, r := range s.applyBatch(events) {
+						if r.err != nil {
+							b.Fatal(r.err)
+						}
 					}
 					b.StartTimer()
 				}
 				if code, body := get(h, bc.path); code != http.StatusOK {
 					b.Fatalf("GET %s = %d: %s", bc.path, code, body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteBesideRewards times one contribute while another
+// goroutine reads /v1/rewards in a loop, over BenchmarkReadViews' TDRM
+// population: the commit waits for the read lock that each read holds
+// while it builds its rows. The writes are 1 ms apart, outside the
+// timer, so each lands at a random point of the reader's loop instead
+// of right after the previous write.
+func BenchmarkWriteBesideRewards(b *testing.B) {
+	s, sc := mixServer(b, "tdrm", treegen.ScenarioConfig{Honest: 10000})
+	h := s.Handler()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				get(h, "/v1/rewards")
+			}
+		}
+	}()
+	defer func() {
+		b.StopTimer()
+		close(stop)
+		wg.Wait()
+	}()
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		time.Sleep(time.Millisecond)
+		b.StartTimer()
+		if err := s.Contribute(sc.Honest[rng.Intn(len(sc.Honest))], 0.5+4*rng.Float64()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadViewsAcrossCommits reads only after zero to four batches, so
+// one view build spans several commits: joins below a quarantined
+// ancestor, more re-folded ids than an eighth of the participants, and
+// restores to a smaller and to a larger tree. Every read, the full
+// leaderboard included, must match the masked full evaluation. The
+// 1,000 participants the stream starts from keep most builds on the
+// path that re-places only the moved ids.
+func TestReadViewsAcrossCommits(t *testing.T) {
+	for i, name := range experiments.MechanismNames() {
+		t.Run(name, func(t *testing.T) {
+			s := New(suiteMechanism(t, name))
+			rng := rand.New(rand.NewSource(int64(i)))
+			// below lists the quarantined subtree while joins go there.
+			var names, below []string
+			join := func() journal.Event {
+				e := journal.Event{Kind: journal.KindJoin, Name: fmt.Sprintf("p%d", len(names))}
+				sponsors := names
+				if below != nil {
+					sponsors = below
+					below = append(below, e.Name)
+				}
+				if len(sponsors) > 0 {
+					e.Sponsor = sponsors[rng.Intn(len(sponsors))]
+				}
+				names = append(names, e.Name)
+				return e
+			}
+			apply := func(ops []journal.Event) {
+				for _, r := range s.applyBatch(ops) {
+					if r.err != nil {
+						t.Fatal(r.err)
+					}
+				}
+			}
+			commit := func(batches int) {
+				for range batches {
+					ops := make([]journal.Event, 1+rng.Intn(8))
+					for j := range ops {
+						if rng.Intn(3) > 0 {
+							ops[j] = journal.Event{Kind: journal.KindContribute, Name: names[rng.Intn(len(names))], Amount: 0.5 + 4*rng.Float64()}
+						} else {
+							ops[j] = join()
+						}
+					}
+					apply(ops)
+				}
+			}
+			replaced := 0
+			read := func() {
+				if v := s.view.Load(); v != nil && v.version != s.version && !s.rerank && !s.local.UsesTotal() {
+					replaced++
+				}
+				assertServedMatches(t, s)
+			}
+			base := make([]journal.Event, 1000)
+			for j := range base {
+				base[j] = join()
+			}
+			apply(base)
+			for range 10 {
+				read()
+				commit(rng.Intn(5))
+			}
+
+			q := names[rng.Intn(len(names))]
+			if err := s.Quarantine(q); err != nil {
+				t.Fatal(err)
+			}
+			read()
+			below = []string{q}
+			for range 4 {
+				commit(1 + rng.Intn(4))
+				read()
+			}
+			below = nil
+			if err := s.Unquarantine(q); err != nil {
+				t.Fatal(err)
+			}
+			commit(2)
+			read()
+
+			small, smallNames := s.SnapshotState(), slices.Clone(names)
+			overflow := make([]journal.Event, len(names)/2)
+			for j := range overflow {
+				overflow[j] = journal.Event{Kind: journal.KindContribute, Name: names[rng.Intn(len(names))], Amount: 1}
+			}
+			apply(overflow)
+			if !s.rerank {
+				t.Fatalf("%d re-folded ids over %d participants did not force a full re-rank", len(s.moved), len(names))
+			}
+			read()
+
+			big, bigNames := s.SnapshotState(), names
+			if err := s.RestoreState(small); err != nil {
+				t.Fatal(err)
+			}
+			names = smallNames
+			commit(rng.Intn(3))
+			read()
+			if err := s.RestoreState(big); err != nil {
+				t.Fatal(err)
+			}
+			names = bigNames
+			read()
+			commit(1 + rng.Intn(4))
+			read()
+			if want := 8; !s.local.UsesTotal() && replaced < want {
+				t.Fatalf("%d reads re-placed only the moved ids, want at least %d", replaced, want)
 			}
 		})
 	}

@@ -34,12 +34,14 @@
 // commits in arrival order with one lock acquisition, journal append
 // and re-fold per batch; a full queue sheds with 429.
 // The first table read of each committed version ranks the
-// participants once, by reward then name, re-sorting the previous
-// version's ranking: its cost tracks how many ids changed reward
-// between the two versions, which is about five per contribution for
-// TDRM, CDRM and Geometric. After that a leaderboard read builds only
-// its k rows, and /v1/rewards sorts the ranking by name and builds all
-// n (see readpath.go).
+// participants once, by reward then name, from the previous version's
+// ranking: R(u) reads only u's subtree, so it recomputes and re-places
+// only the ids the commits since re-folded, about five per
+// contribution for TDRM, CDRM and Geometric. A quarantine flip, or a
+// mechanism whose rewards read C(T) (L-Luxor, L-Pachira), recomputes
+// and re-sorts them all. After that a leaderboard read builds only its
+// k rows, and /v1/rewards builds all n and sorts them by name after
+// releasing the lock (see readpath.go).
 package server
 
 import (
@@ -54,6 +56,7 @@ import (
 	"incentivetree/internal/audit"
 	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
+	"incentivetree/internal/numeric"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/tree"
 )
@@ -80,6 +83,14 @@ type Server struct {
 	view                 atomic.Pointer[readView]
 	viewMu               sync.Mutex
 	viewHits, viewMisses *obs.Counter
+	// moved lists the ids re-folded since the view was last built, and
+	// rerank is set when the next build should re-sort every id
+	// instead (a quarantine flip, or more ids than an eighth of the
+	// participants). Commits write
+	// them under mu; a view build resets them under mu's read lock and
+	// viewMu.
+	moved  []tree.NodeID
+	rerank bool
 
 	mu sync.RWMutex
 	// state changes only through commitLocked and ApplyReplicated; a
@@ -294,6 +305,18 @@ func (s *Server) rewardsLocked() core.Rewards {
 	return r
 }
 
+// rewardTotalLocked returns R(T) from the maintained aggregates without
+// building the table: it sums in id order with the Kahan steps of
+// core.Rewards.Total, and the root's zero entry adds nothing there,
+// so the bits are the same. Callers hold at least the read lock.
+func (s *Server) rewardTotalLocked() float64 {
+	var sum numeric.Accumulator
+	for id := 1; id < s.state.Tree.Len(); id++ {
+		sum.Add(s.local.Reward(s.state.Tree, s.agg, tree.NodeID(id), s.total))
+	}
+	return sum.Sum()
+}
+
 func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -323,7 +346,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
 		Tree:        s.state.Tree.ComputeStats(),
-		TotalReward: s.rewardsLocked().Total(),
+		TotalReward: s.rewardTotalLocked(),
 		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
 		LastSeq:     s.state.LastSeq,
 		Quarantined: len(s.state.Quarantined),
